@@ -575,30 +575,20 @@ class SymExpr:
     def compiled(self):
         """A Python function ``env -> int`` generated from this form.
 
-        Compiling once turns per-cell evaluation into straight-line
-        bytecode (atoms become cached locals, residue sums become real
-        loops with hoisted invariants) — the same derive-once /
-        evaluate-many discipline as the tier-2 kernel compiler, one
-        level down.  Falls back to the interpreter when a bound-variable
-        name is ambiguous (shadowing would mis-share cached atoms).
+        A one-expression view over :func:`compile_account`, compiled once
+        and cached on the form.  Raises :class:`SymbolicUnsupported` when
+        a bound-variable name is ambiguous (shadowing would mis-share
+        cached atoms).
         """
         fn = self._compiledf
         if fn is None:
-            if _bound_vars_ambiguous(self):
-                fn = self.evaluate
-            else:
-                fn = _compile_form(self)
+            fused = compile_account({"value": self})
+
+            def fn(env: Mapping[str, int]) -> int:
+                return fused(env)[0]
+
             object.__setattr__(self, "_compiledf", fn)
         return fn
-
-    def evaluate_fast(self, env: Mapping[str, int]) -> int:
-        """:meth:`evaluate` through the compiled path."""
-        try:
-            return self.compiled()(env)
-        except KeyError as error:
-            raise SymbolicUnsupported(
-                f"unbound symbol {error.args[0]!r} at evaluation"
-            )
 
     # -- substitution ---------------------------------------------------
     def subs(self, name: str, replacement: "SymExpr") -> "SymExpr":
@@ -1680,7 +1670,7 @@ class _LoopPlan:
         self.moduli = tuple(moduli)
         self.leaf_ops = leaf_ops
         self._unit = leaf_ops + len(specs) + 2
-        self.free_fn = _compile_multi(free_exprs)
+        self.free_fn = _compile_exprs(free_exprs) if free_exprs else None
 
     def run(self, env: Mapping[str, int], limit: int):
         """Per-member totals over ``range(max(0, limit))`` — or None."""
@@ -2224,7 +2214,7 @@ class _Emitter:
                 scope.cache[member] = final
 
 
-def _compile_exprs(exprs: List[SymExpr], single: bool = False):
+def _compile_exprs(exprs: List[SymExpr]):
     emitter = _Emitter()
     scope = _Scope()
     outputs = emitter.emit_outputs(exprs, scope, 1)
@@ -2233,11 +2223,8 @@ def _compile_exprs(exprs: List[SymExpr], single: bool = False):
     if emitter.uses_env:
         lines.append("    _env = dict(env)")
     lines.extend(emitter.lines)
-    if single:
-        lines.append(f"    return {outputs[0]}")
-    else:
-        tail = "," if len(outputs) == 1 else ""
-        lines.append(f"    return ({', '.join(outputs)}{tail})")
+    tail = "," if len(outputs) == 1 else ""
+    lines.append(f"    return ({', '.join(outputs)}{tail})")
     source = "\n".join(lines) + "\n"
     namespace = {
         "_exact_div": _exact_div,
@@ -2260,17 +2247,6 @@ def _compile_exprs(exprs: List[SymExpr], single: bool = False):
     return form
 
 
-def _compile_multi(exprs: List[SymExpr]):
-    """Compiled ``env -> tuple`` for plan free slots (no bounded sums)."""
-    if not exprs:
-        return None
-    return _compile_exprs(list(exprs))
-
-
-def _compile_form(expr: SymExpr):
-    return _compile_exprs([expr], single=True)
-
-
 def compile_account(forms: "Mapping[str, SymExpr]"):
     """One fused evaluator ``env -> tuple`` for several forms.
 
@@ -2278,21 +2254,22 @@ def compile_account(forms: "Mapping[str, SymExpr]"):
     summation level — the per-field contributions of one derived
     program always do — run in one fused loop (or one residue-class
     plan) instead of one loop per field, and shared atoms evaluate
-    once.  Returns None when a bound-variable name is ambiguous across
-    the forms; the caller falls back to per-form evaluation.
+    once.  Raises :class:`SymbolicUnsupported` when a bound-variable
+    name is ambiguous across the forms: shadowing would mis-share cached
+    atoms and silently give wrong counts.
     """
     exprs = list(forms.values())
     bound: set = set()
     free: set = set()
     for expr in exprs:
         if _bound_vars_ambiguous(expr):
-            return None
+            raise SymbolicUnsupported("ambiguous bound variable")
         names: List[str] = []
         _walk_bound_vars(expr, names)
         bound.update(names)
         free.update(expr.free_symbols())
     if bound & free:
-        return None
+        raise SymbolicUnsupported("bound variable is also free")
     fn = _compile_exprs(exprs)
     fn.fields = tuple(forms.keys())
     return fn

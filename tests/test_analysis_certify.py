@@ -42,8 +42,10 @@ from repro.cli import main
 from repro.codegen.pycodegen import compile_accounting
 from repro.errors import ReproError
 from repro.fuzz.cli import summarize
+from repro.fuzz.generator import generate_spec
 from repro.fuzz.oracle import FuzzRecord, fuzz_task
 from repro.linalg.sympoly import Mod, SymExpr, const, sym
+from repro.numa.simulator import _cached_form
 from repro.numa.symbolic import SymbolicEngine
 from repro.runtime.cache import shared_cache
 
@@ -275,6 +277,30 @@ class TestInjectedKernelDefects:
         assert by_code["KERN003"].span.statement == 8   # duplicated guard
         assert "_dead" in by_code["KERN002"].message
         assert "_inv" in by_code["KERN001"].message
+
+    def test_kernel_pass_sanitizes_the_fused_form_source(self, monkeypatch):
+        import repro.analysis.kernels as kernels
+
+        context = build_context(
+            generate_spec(49).build(), schedule="wrapped", sync=True
+        )
+        status, engine = _cached_form(context.node)
+        assert status == "ok"
+        seen = []
+        sanitize = kernels.sanitize_generated_source
+
+        def recording(source, **options):
+            seen.append((options["artifact"], source))
+            return sanitize(source, **options)
+
+        monkeypatch.setattr(kernels, "sanitize_generated_source", recording)
+        findings = KernelPass().run(context)
+        forms = [(a, src) for a, src in seen if a.startswith("form:")]
+        assert forms == [("form:account", engine._fused().source)]
+        flagged = [
+            d for d in findings if d.span.reference == "form:account"
+        ]
+        assert [d.code for d in flagged] == ["KERN001"]
 
     def test_unexpected_wrapped_guard_without_wrapped_arrays(self):
         findings = sanitize_generated_source(

@@ -202,7 +202,11 @@ class TestFleetRouting:
 
     def test_concurrent_identical_requests_dedup_across_fleet(self, fleet):
         router, _ = fleet
-        body = json.dumps({"source": GEMM_SOURCE, "processors": 6}).encode()
+        # The delay keeps the single execution in flight until all six
+        # posts have arrived, so every duplicate joins it.
+        body = json.dumps(
+            {"source": GEMM_SOURCE, "processors": 6, "delay_ms": 300}
+        ).encode()
         results = []
 
         def fire():

@@ -220,7 +220,9 @@ class TestMetricsSnapshots:
 class TestSimulateTask:
     def test_matches_direct_simulate(self, gemm_node):
         direct = simulate(gemm_node, processors=3)
-        via_task = simulate_task((gemm_node, 3, None, None, "account", False))
+        via_task = simulate_task(
+            (gemm_node, 3, None, None, "account", False, "auto")
+        )
         assert via_task.total_time_us == direct.total_time_us
         assert via_task.totals.remote == direct.totals.remote
 

@@ -18,11 +18,13 @@ from repro.bench import gemm_variants, syr2k_variants
 from repro.codegen import generate_spmd
 from repro.core import access_normalize
 from repro.errors import ConfigurationError, ReproError, SimulationError
+from repro.fuzz.generator import generate_spec
 from repro.lang import parse_program
 from repro.linalg import Progression
 from repro.linalg.sympoly import (
     SymbolicUnsupported,
     bounded_sum,
+    compile_account,
     const,
     eq0,
     eval_cost,
@@ -35,7 +37,6 @@ from repro.linalg.sympoly import (
     sym_sum,
 )
 from repro.numa import simulate
-from repro.numa.simulator import _symbolic_unpromising
 from repro.numa.symbolic import FIELDS, SymbolicEngine
 from repro.runtime.cache import SimulationCache, set_shared_cache, shared_cache
 from repro.service.client import _parse_retry_after
@@ -97,18 +98,33 @@ class TestSympoly:
         assert eval_cost(loop, lambda bound: 0) >= 1
 
     def test_compiled_forms_match_interpreter(self):
-        node = gemm_variants(12)["gemm"]
-        engine = SymbolicEngine(node)
-        env = node.program.bound_params(None)
-        for P in (1, 3, 4):
-            for proc in range(P):
-                full = dict(env)
-                full[engine.procs_name] = P
-                full[engine.proc_name] = proc
-                for name, form in engine.forms.items():
-                    assert form.evaluate_fast(full) == form.evaluate(full), (
-                        name, P, proc,
-                    )
+        # The fused evaluator is the only compiled path; the interpreter
+        # is its oracle on the paper variants and a few fuzz nests.
+        nodes = dict(gemm_variants(12))
+        nodes.update(syr2k_variants(14, 3))
+        for seed in (1, 6, 49):
+            program = generate_spec(seed).build()
+            result = access_normalize(program)
+            for schedule in ("wrapped", "blocked"):
+                nodes[f"fuzz-{seed}-{schedule}"] = generate_spmd(
+                    result.transformed,
+                    schedule=schedule,
+                    sync_events=result.outer_carried_count,
+                )
+        for label, node in nodes.items():
+            engine = SymbolicEngine(node)
+            fused = engine._fused()
+            env = node.program.bound_params(None)
+            for P in (1, 3, 4):
+                for proc in range(P):
+                    full = dict(env)
+                    full[engine.procs_name] = P
+                    full[engine.proc_name] = proc
+                    values = dict(zip(fused.fields, fused(full)))
+                    for name, form in engine.forms.items():
+                        assert values[name] == form.evaluate(full), (
+                            label, name, P, proc,
+                        )
 
 
 # ----------------------------------------------------------------------
@@ -197,17 +213,10 @@ for i = 0, N-1
         for reference, tiered in zip(walk.per_proc, auto.per_proc):
             assert tiered.counts == reference.counts
 
-    def test_structural_prefilter_separates_paper_kernels(self):
-        # Every paper kernel is promising now: rectangular GEMM bounds
-        # trivially, and the banded SYR2K nests because residue-class
-        # specialized evaluators made their multi-armed max/min bounds
-        # cheap (5 extra arms, well under the budget).  Only a nest
-        # whose arm count explodes the derivation's case split past
-        # SYMBOLIC_MAX_EXTRA_ARMS is filtered out before deriving.
-        for node in gemm_variants(8).values():
-            assert not _symbolic_unpromising(node)
-        for node in syr2k_variants(12, 2).values():
-            assert not _symbolic_unpromising(node)
+    def test_auto_derives_multi_armed_nests(self):
+        # Auto derives even a nest with twelve extra max/min bound arms
+        # (the derivation stays bounded by its sum budget), and the cost
+        # ceiling keeps the cheap result.
         source = """
 program armstorm
 param N = 32
@@ -221,7 +230,47 @@ for i = 0, N-1
 """
         program = parse_program(source, name="armstorm")
         node = generate_spmd(program, block_transfers=False)
-        assert _symbolic_unpromising(node)
+        auto = simulate(node, processors=4)
+        walk = simulate(node, processors=4, engine="walk")
+        assert auto.engine == "symbolic"
+        for reference, tiered in zip(walk.per_proc, auto.per_proc):
+            assert tiered.counts == reference.counts
+
+    def test_shadowing_forms_fall_down_the_ladder(self, monkeypatch):
+        # An inner sum rebinding its enclosing sum's variable would
+        # mis-share cached atoms in compiled code: compile_account
+        # refuses it instead of silently miscounting.
+        t = sym("t")
+        shadowed = bounded_sum("t", sym("n"), bounded_sum("t", t + 1, t))
+        with pytest.raises(SymbolicUnsupported):
+            compile_account({"local": shadowed})
+        with pytest.raises(SymbolicUnsupported):
+            shadowed.compiled()
+
+        # A derivation yielding such a form makes the whole tier decline.
+        derive = SymbolicEngine._derive
+
+        def shadowing_derive(engine):
+            forms = derive(engine)
+            forms["guards"] = forms["guards"] + bounded_sum(
+                "t", sym(engine.procs_name), shadowed
+            )
+            return forms
+
+        monkeypatch.setattr(SymbolicEngine, "_derive", shadowing_derive)
+        previous = shared_cache()
+        set_shared_cache(SimulationCache())
+        try:
+            node = gemm_variants(8)["gemm"]
+            walk = simulate(node, processors=3, engine="walk")
+            auto = simulate(node, processors=3)
+            assert auto.engine == "closed-form"
+            for reference, tiered in zip(walk.per_proc, auto.per_proc):
+                assert tiered.counts == reference.counts
+            with pytest.raises(SimulationError, match="symbolic engine"):
+                simulate(node, processors=3, engine="symbolic")
+        finally:
+            set_shared_cache(previous)
 
     def test_estimate_cost_positive_and_param_sensitive(self):
         node = syr2k_variants(40, 6)["syr2k"]
@@ -414,12 +463,9 @@ class TestResidueClassSpecialization:
     """
 
     def test_split_unsplit_walk_agree_on_banded_grid(self):
-        from repro.linalg.sympoly import compile_account
-
         for name, node in syr2k_variants(18, 3).items():
             engine = SymbolicEngine(node)
             fused = compile_account(engine.forms)
-            assert fused is not None, name
             for params in ({"N": 18, "b": 3}, {"N": 25, "b": 4}):
                 env = node.program.bound_params(params)
                 for processors in (1, 2, 3, 5):
@@ -449,7 +495,6 @@ class TestResidueClassSpecialization:
         node = syr2k_variants(24, 4)["syr2k"]
         engine = SymbolicEngine(node)
         fused = engine._fused()
-        assert fused is not None
         assert any(plan is not None for plan in fused.plans)
 
     def test_plan_matches_interpreter_on_synthetic_mod_sums(self):
@@ -485,7 +530,7 @@ class TestResidueClassSpecialization:
         with pytest.raises(SymbolicUnsupported):
             expr.evaluate(env)
         with pytest.raises(SymbolicUnsupported):
-            expr.evaluate_fast(env)
+            expr.compiled()(env)
 
     def test_strength_reduced_sources_pass_kernel_sanitizer(self):
         # KERN001/KERN002 stay clean on the emitted fused sources even
@@ -500,7 +545,6 @@ class TestResidueClassSpecialization:
             for name, node in variants.items():
                 engine = SymbolicEngine(node)
                 fused = engine._fused()
-                assert fused is not None, name
                 diagnostics = sanitize_generated_source(
                     fused.source, artifact="form:fused", program=name
                 )
