@@ -45,6 +45,20 @@ it runs on:
     evaluator changes; if ``ns_per_estimated_op`` shifts by more than
     ~2x, re-derive the ceiling from the new conversion.
 
+``derive``
+    Form derivation, the tuner's bottleneck: every candidate the
+    tune-search benchmark workload scores (SYR2K at N=24, b=3 and GEMM at
+    N=24; P in {4, 16}; budget 12) is a new node program, derived from
+    scratch.  Per kernel: the distinct candidate node programs, how many
+    derivations were refused (``SymbolicUnsupported``), the best wall of
+    deriving them all, ``forms_per_s`` (derivations per second, refused
+    ones included), the ``SymExpr`` constructions one pass makes, and
+    the share of those the intern table answered with an existing
+    instance (``intern_hit_ratio``).  ``derive_before`` holds the
+    candidates, refusals, wall and rate of the tree before ``SymExpr``
+    was hash-consed (docs/performance.md gives the command), kept as
+    recorded when the section is rewritten.
+
 The results land in the ``sympoly`` section of ``BENCH_simulator.json``
 (everything else in the file is preserved; ``bench_trajectory.py``
 likewise preserves this section when it re-records the sweeps).
@@ -67,10 +81,14 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro.bench import syr2k_variants
+from repro.bench import figure_machine, syr2k_variants
+from repro.blas import PAPER_PRIORITY, gemm_program, syr2k_program
+from repro.linalg import sympoly
 from repro.linalg.sympoly import (
     _PLAN_CLASS_OPS,
     _PLAN_SETUP_OPS,
+    SymbolicUnsupported,
+    SymExpr,
     _flat_ops,
     bounded_sum,
     floordiv,
@@ -78,8 +96,11 @@ from repro.linalg.sympoly import (
     pos,
     sym,
 )
+from repro.numa import simulator
 from repro.numa.simulator import SYMBOLIC_COST_CEILING
 from repro.numa.symbolic import SymbolicEngine
+from repro.runtime.cache import node_fingerprint, shared_cache
+from repro.tune.search import tune_program
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_simulator.json")
@@ -202,11 +223,95 @@ def measure_syr2k(repeats):
     return out
 
 
+#: kernel -> (full-scale program, scoring params, access priority), as
+#: the tune-search benchmark workload searches them.
+TUNE_KERNELS = {
+    "syr2k": (syr2k_program(400, 48), {"N": 24, "b": 3}, list(PAPER_PRIORITY)),
+    "gemm": (gemm_program(400), {"N": 24}, None),
+}
+
+
+def tuner_nodes(kind):
+    """The distinct node programs one tune-search scores for ``kind``."""
+    program, params, priority = TUNE_KERNELS[kind]
+    nodes = {}
+    original = simulator._cached_form
+
+    def recording(node):
+        nodes.setdefault(node_fingerprint(node), node)
+        return original(node)
+
+    shared_cache().clear()
+    simulator._cached_form = recording
+    try:
+        tune_program(
+            program, processors=(4, 16), machine=figure_machine(),
+            params=params, priority=priority, budget=12, jobs=1,
+        )
+    finally:
+        simulator._cached_form = original
+    return list(nodes.values())
+
+
+def _derive_all(nodes):
+    """Derive every node's forms; the number refused."""
+    refused = 0
+    for node in nodes:
+        try:
+            SymbolicEngine(node)
+        except SymbolicUnsupported:
+            refused += 1
+    return refused
+
+
+def _count_constructions(nodes):
+    """``(constructions, intern hits)`` of one derivation pass.
+
+    A miss is a construction that grows the intern table by one entry.
+    """
+    calls = [0, 0]
+    original = SymExpr.__new__
+
+    def counting(cls, terms):
+        before = len(sympoly._EXPRS)
+        expr = original(cls, terms)
+        calls[0] += 1
+        calls[1] += len(sympoly._EXPRS) == before
+        return expr
+
+    SymExpr.__new__ = counting
+    try:
+        _derive_all(nodes)
+    finally:
+        SymExpr.__new__ = original
+    return calls[0], calls[1]
+
+
+def measure_derive(repeats):
+    """Forms derived per second for the tuner's candidates, per kernel."""
+    out = {}
+    for kind in TUNE_KERNELS:
+        nodes = tuner_nodes(kind)
+        refused = _derive_all(nodes)
+        best = _best_of(repeats, _derive_all, nodes)
+        constructions, hits = _count_constructions(nodes)
+        out[kind] = {
+            "candidates": len(nodes),
+            "refused": refused,
+            "wall_s": round(best, 4),
+            "forms_per_s": round(len(nodes) / best, 2),
+            "constructions": constructions,
+            "intern_hit_ratio": round(hits / constructions, 4),
+        }
+    return out
+
+
 def run_benchmark(repeats):
     flat_ns, flat_ops = measure_flat(repeats)
     loop_ns = measure_loop(repeats)
     setup_ns, class_ns, points = measure_plan(repeats)
     syr2k = measure_syr2k(repeats)
+    derive = measure_derive(repeats)
     implied_setup = setup_ns / flat_ns if flat_ns else 0.0
     implied_class = class_ns / flat_ns if flat_ns else 0.0
     section = {
@@ -222,6 +327,7 @@ def run_benchmark(repeats):
         "model_class_ops": _PLAN_CLASS_OPS,
         "cost_ceiling_ops": SYMBOLIC_COST_CEILING,
         "syr2k_paper": syr2k,
+        "derive": derive,
     }
     print(f"flat evaluation: {flat_ns:.2f} ns/op ({flat_ops}-op probe)")
     print(f"fallback loop:   {loop_ns:.2f} ns/iter")
@@ -236,6 +342,13 @@ def run_benchmark(repeats):
             f"syr2k paper P={procs}: estimate {row['estimate_ops']} ops, "
             f"account {row['account_us']} us/cell "
             f"({row['ns_per_estimated_op']} ns/op)"
+        )
+    for kind, row in derive.items():
+        print(
+            f"derive {kind}: {row['candidates']} candidates "
+            f"({row['refused']} refused) in {row['wall_s']} s = "
+            f"{row['forms_per_s']} forms/s; {row['constructions']} SymExpr "
+            f"constructions, intern hit ratio {row['intern_hit_ratio']}"
         )
     ceiling_us = SYMBOLIC_COST_CEILING * flat_ns / 1000
     print(
@@ -263,6 +376,9 @@ def main(argv=None):
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
             document = json.load(handle)
+    previous = document.get("sympoly", {})
+    if "derive_before" in previous:
+        section["derive_before"] = previous["derive_before"]
     document["sympoly"] = section
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

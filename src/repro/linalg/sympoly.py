@@ -39,6 +39,9 @@ the simulator treats as "fall down the engine ladder", never as an error.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd as _gcd
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -48,6 +51,7 @@ __all__ = [
     "SymbolicUnsupported",
     "sym",
     "const",
+    "derivation",
     "mod",
     "floordiv",
     "pos",
@@ -73,23 +77,72 @@ class SymbolicUnsupported(Exception):
 # atoms
 # ---------------------------------------------------------------------------
 
+#: Guards the miss paths of the intern tables below: server threads
+#: derive forms concurrently, and a lost race would leave two equal
+#: values that compare unequal (equality is identity).
+_INTERN_LOCK = threading.Lock()
+
+#: The one atom registry: canonical atoms keyed by kind and (canonical)
+#: children.  Values are weak; what keeps an atom alive beyond the
+#: expressions using it is ``_PINNED`` or the derivation arena.
+_ATOMS: "weakref.WeakValueDictionary[Tuple, _Atom]" = (
+    weakref.WeakValueDictionary()
+)
+
+#: Order numbers handed out so far (see :func:`_base_sort_key`).
+_ATOM_COUNT = [0]
+
+#: Prefix of :func:`fresh_name`'s bound-variable names.
+_FRESH_PREFIX = "__q"
+
+#: An atom's first-sight order number must hold for as long as the atom
+#: can be rebuilt: monomial order feeds ``repr`` (hence certificate
+#: digests) and the fused evaluator's source.  Atoms free of fresh names
+#: recur from one derivation to the next, so ``_PINNED`` keeps them for
+#: good, together with every atom built outside a derivation.  An atom
+#: over a fresh name can only be rebuilt while that name is in use, so
+#: ``_ARENA`` -- ``[open derivations, such atoms built meanwhile]`` --
+#: keeps it until the last open :func:`derivation` ends; after that it
+#: lives as long as a form uses it.
+_PINNED: List["_Atom"] = []
+_ARENA: List = [0, []]
+
+
 class _Atom:
-    """Base class of non-polynomial bases.  Immutable and hashable."""
+    """Base class of non-polynomial bases.  Immutable and hash-consed.
 
-    __slots__ = ("_hash",)
+    Construction returns the one canonical instance for its kind and
+    children, and the children are canonical too, so structural equality
+    is identity: ``==`` and ``hash`` are the object defaults.
+    """
 
-    def _key(self) -> Tuple:
-        raise NotImplementedError
+    __slots__ = ("_sortkey", "_fresh", "__weakref__")
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._key() == other._key()
+    #: Constructor arguments, in order (the slots holding the children).
+    _fields: Tuple[str, ...] = ()
 
-    def __hash__(self) -> int:
-        value = getattr(self, "_hash", None)
-        if value is None:
-            value = hash((type(self).__name__,) + self._key())
-            object.__setattr__(self, "_hash", value)
-        return value
+    def __new__(cls, *children):
+        key = (cls,) + children
+        atom = _ATOMS.get(key)
+        if atom is None:
+            with _INTERN_LOCK:
+                atom = _ATOMS.get(key)
+                if atom is None:
+                    atom = object.__new__(cls)
+                    for name, value in zip(cls._fields, children):
+                        object.__setattr__(atom, name, value)
+                    fresh = _over_fresh(children)
+                    object.__setattr__(atom, "_sortkey", None)
+                    object.__setattr__(atom, "_fresh", fresh)
+                    _ATOMS[key] = atom
+                    if fresh and _ARENA[0]:
+                        _ARENA[1].append(atom)
+                    else:
+                        _PINNED.append(atom)
+        return atom
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
 
     def evaluate(self, env: Mapping[str, int], memo: Dict) -> Fraction:
         raise NotImplementedError
@@ -101,10 +154,48 @@ class _Atom:
         raise NotImplementedError
 
 
-def _modulus_key(modulus) -> Tuple:
-    if isinstance(modulus, int):
-        return ("int", modulus)
-    return ("expr", modulus._terms)
+def _over_fresh(children) -> bool:
+    """Whether a fresh bound-variable name occurs anywhere in ``children``."""
+    for child in children:
+        if isinstance(child, str):
+            if child.startswith(_FRESH_PREFIX):
+                return True
+        elif isinstance(child, SymExpr):
+            for mono, _coeff in child._terms:
+                for base, _exp in mono:
+                    if isinstance(base, str):
+                        if base.startswith(_FRESH_PREFIX):
+                            return True
+                    elif base._fresh:
+                        return True
+    return False
+
+
+@contextmanager
+def derivation() -> Iterator[None]:
+    """Scope of one form derivation.
+
+    Atoms built over fresh bound-variable names inside the scope stay
+    alive until the last open scope ends, so an intermediate atom that is
+    dropped and rebuilt keeps its order number and term order stays put.
+    After that they live only as long as a form uses them.  Scopes may
+    nest and overlap across threads, but the count of open scopes is
+    global: while derivations in several threads overlap without a gap,
+    none of their fresh-name atoms is released.  Atoms over fresh names
+    built outside any scope (a caller deriving without one) are pinned
+    for good, like every other atom.
+    """
+    with _INTERN_LOCK:
+        _ARENA[0] += 1
+    released: List[_Atom] = []
+    try:
+        yield
+    finally:
+        with _INTERN_LOCK:
+            _ARENA[0] -= 1
+            if not _ARENA[0]:
+                released, _ARENA[1] = _ARENA[1], []
+        del released  # freed outside the lock
 
 
 def _modulus_value(modulus, env, memo):
@@ -133,12 +224,7 @@ class Mod(_Atom):
     arg: "SymExpr"
     modulus: Union[int, "SymExpr"]
 
-    def __init__(self, arg: "SymExpr", modulus) -> None:
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "modulus", modulus)
-
-    def _key(self) -> Tuple:
-        return (self.arg._terms, _modulus_key(self.modulus))
+    _fields = ("arg", "modulus")
 
     def evaluate(self, env, memo):
         m = _modulus_value(self.modulus, env, memo)
@@ -164,12 +250,7 @@ class FloorDiv(_Atom):
     arg: "SymExpr"
     modulus: Union[int, "SymExpr"]
 
-    def __init__(self, arg: "SymExpr", modulus) -> None:
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "modulus", modulus)
-
-    def _key(self) -> Tuple:
-        return (self.arg._terms, _modulus_key(self.modulus))
+    _fields = ("arg", "modulus")
 
     def evaluate(self, env, memo):
         m = _modulus_value(self.modulus, env, memo)
@@ -199,11 +280,7 @@ class Pos(_Atom):
 
     arg: "SymExpr"
 
-    def __init__(self, arg: "SymExpr") -> None:
-        object.__setattr__(self, "arg", arg)
-
-    def _key(self) -> Tuple:
-        return (self.arg._terms,)
+    _fields = ("arg",)
 
     def evaluate(self, env, memo):
         value = self.arg._evaluate(env, memo)
@@ -226,11 +303,7 @@ class Ge0(_Atom):
 
     arg: "SymExpr"
 
-    def __init__(self, arg: "SymExpr") -> None:
-        object.__setattr__(self, "arg", arg)
-
-    def _key(self) -> Tuple:
-        return (self.arg._terms,)
+    _fields = ("arg",)
 
     def evaluate(self, env, memo):
         value = self.arg._evaluate(env, memo)
@@ -259,20 +332,13 @@ class BoundedSum(_Atom):
     bound: "SymExpr"
     body: "SymExpr"
 
-    def __init__(self, var: str, bound: "SymExpr", body: "SymExpr") -> None:
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "_freeatoms", None)
-
-    def _key(self) -> Tuple:
-        return (self.var, self.bound._terms, self.body._terms)
+    _fields = ("var", "bound", "body")
 
     def _free_atoms(self) -> Tuple["_Atom", ...]:
         """Atoms inside the body not depending on the bound variable —
         evaluated once per enclosing evaluation, shared by every
         iteration of the sum."""
-        atoms = self._freeatoms
+        atoms = getattr(self, "_freeatoms", None)
         if atoms is None:
             collected: List[_Atom] = []
 
@@ -326,27 +392,27 @@ class BoundedSum(_Atom):
 _Base = Union[str, _Atom]
 
 
-#: Structural-equality interning registry: every distinct atom gets a
-#: small integer at first sight, giving monomial sorting an O(1) key.
-#: (Keying the sort on ``repr`` instead is quadratic-to-exponential on
-#: deeply nested atoms: each comparison re-renders whole subtrees.)
-#: First-come order is arbitrary but stable within a process, which is
-#: all canonicalization needs — equality compares content, not order.
-_ATOM_ORDER: Dict[_Atom, int] = {}
-
-
-def _atom_order(atom: _Atom) -> int:
-    index = _ATOM_ORDER.get(atom)
-    if index is None:
-        index = len(_ATOM_ORDER)
-        _ATOM_ORDER[atom] = index
-    return index
-
-
 def _base_sort_key(base: _Base) -> Tuple:
+    """Monomial sort key: symbols by name, atoms by first-sight order.
+
+    An atom is numbered the first time a monomial containing it is
+    sorted, which gives sorting an O(1) key.  (Keying the sort on
+    ``repr`` instead is quadratic-to-exponential on deeply nested atoms:
+    each comparison re-renders whole subtrees.)  First-come order is
+    arbitrary but fixed for as long as the atom can be rebuilt (see
+    ``_PINNED``), which is all canonicalization needs.
+    """
     if isinstance(base, str):
         return (0, base, 0)
-    return (1, type(base).__name__, _atom_order(base))
+    key = base._sortkey
+    if key is None:
+        with _INTERN_LOCK:
+            key = base._sortkey
+            if key is None:
+                key = (1, type(base).__name__, _ATOM_COUNT[0])
+                _ATOM_COUNT[0] += 1
+                object.__setattr__(base, "_sortkey", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +422,58 @@ def _base_sort_key(base: _Base) -> Tuple:
 _Monomial = Tuple[Tuple[_Base, int], ...]
 
 
-class SymExpr:
-    """A normalized polynomial over symbols and atoms (Fraction coeffs)."""
+def _term_sort_key(item: Tuple[_Monomial, Fraction]) -> Tuple:
+    return tuple([(_base_sort_key(base), exp) for base, exp in item[0]])
 
-    __slots__ = ("_terms", "_hashv", "_symbols", "_plan", "_compiledf")
+
+#: Canonical SymExpr per sorted term tuple (coefficients as integer
+#: pairs).  Values are weak: a form nothing holds any more is dropped,
+#: and an equal one built later becomes the canonical instance in its
+#: place.  An atom holds its children, so they live at least as long.
+_EXPRS: "weakref.WeakValueDictionary[Tuple, SymExpr]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+class SymExpr:
+    """A normalized polynomial over symbols and atoms (Fraction coeffs).
+
+    Hash-consed: construction returns the one canonical instance for its
+    sorted term tuple, so structurally equal expressions are the same
+    object and ``==`` and ``hash`` are the object defaults (identity).
+    """
+
+    __slots__ = ("_terms", "_symbols", "_plan", "_compiledf", "__weakref__")
 
     _terms: Tuple[Tuple[_Monomial, Fraction], ...]
 
-    def __init__(self, terms: Dict[_Monomial, Fraction]) -> None:
+    def __new__(cls, terms: Dict[_Monomial, Fraction]) -> "SymExpr":
         clean = tuple(
             sorted(
-                ((mono, coeff) for mono, coeff in terms.items() if coeff),
-                key=lambda item: tuple(
-                    (_base_sort_key(base), exp) for base, exp in item[0]
-                ),
+                [(mono, coeff) for mono, coeff in terms.items() if coeff],
+                key=_term_sort_key,
             )
         )
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hashv", None)
-        object.__setattr__(self, "_symbols", None)
-        object.__setattr__(self, "_plan", None)
-        object.__setattr__(self, "_compiledf", None)
+        # Keyed on integer numerator/denominator pairs: hashing a
+        # Fraction is a slow pure-Python call, an int is not.
+        key = tuple(
+            [(mono, coeff.numerator, coeff.denominator) for mono, coeff in clean]
+        )
+        expr = _EXPRS.get(key)
+        if expr is None:
+            with _INTERN_LOCK:
+                expr = _EXPRS.get(key)
+                if expr is None:
+                    expr = object.__new__(cls)
+                    object.__setattr__(expr, "_terms", clean)
+                    object.__setattr__(expr, "_symbols", None)
+                    object.__setattr__(expr, "_plan", None)
+                    object.__setattr__(expr, "_compiledf", None)
+                    _EXPRS[key] = expr
+        return expr
+
+    def __reduce__(self):
+        return (SymExpr, (dict(self._terms),))
 
     # -- construction helpers ------------------------------------------
     @staticmethod
@@ -450,7 +547,8 @@ class SymExpr:
         other = SymExpr._coerce(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms:
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            prev = terms.get(mono)
+            terms[mono] = coeff if prev is None else prev + coeff
         return SymExpr(terms)
 
     __radd__ = __add__
@@ -469,28 +567,25 @@ class SymExpr:
         terms: Dict[_Monomial, Fraction] = {}
         for mono_a, coeff_a in self._terms:
             for mono_b, coeff_b in other._terms:
-                powers: Dict[_Base, int] = {}
-                for base, exp in mono_a:
-                    powers[base] = powers.get(base, 0) + exp
-                for base, exp in mono_b:
-                    powers[base] = powers.get(base, 0) + exp
-                mono = tuple(
-                    sorted(powers.items(), key=lambda kv: _base_sort_key(kv[0]))
-                )
-                terms[mono] = terms.get(mono, Fraction(0)) + coeff_a * coeff_b
+                if not mono_a:
+                    mono = mono_b
+                elif not mono_b:
+                    mono = mono_a
+                else:
+                    powers: Dict[_Base, int] = dict(mono_a)
+                    for base, exp in mono_b:
+                        powers[base] = powers.get(base, 0) + exp
+                    mono = tuple(
+                        sorted(
+                            powers.items(), key=lambda kv: _base_sort_key(kv[0])
+                        )
+                    )
+                coeff = coeff_a * coeff_b
+                prev = terms.get(mono)
+                terms[mono] = coeff if prev is None else prev + coeff
         return SymExpr(terms)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymExpr) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        value = self._hashv
-        if value is None:
-            value = hash(self._terms)
-            object.__setattr__(self, "_hashv", value)
-        return value
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -596,18 +691,26 @@ class SymExpr:
         if not self.depends_on(name):
             return self
         replacement = SymExpr._coerce(replacement)
-        total = SymExpr({})
+        terms: Dict[_Monomial, Fraction] = {}
         for mono, coeff in self._terms:
-            term = SymExpr._const(coeff)
+            # Bases free of ``name`` stay in the monomial as they are;
+            # the others are rebuilt and multiplied back in.
+            kept: List[Tuple[_Base, int]] = []
+            factors: List[SymExpr] = []
             for base, exp in mono:
                 if isinstance(base, str):
-                    factor = replacement if base == name else SymExpr._symbol(base)
-                else:
+                    if base != name:
+                        kept.append((base, exp))
+                        continue
+                    factor = replacement
+                elif base.depends_on(name):
                     factor = SymExpr._atom_subs(base, name, replacement)
-                for _ in range(exp):
-                    term = term * factor
-            total = total + term
-        return total
+                else:
+                    kept.append((base, exp))
+                    continue
+                factors.extend([factor] * exp)
+            _add_product(terms, tuple(kept), coeff, factors)
+        return SymExpr(terms)
 
     @staticmethod
     def _atom_subs(atom: _Atom, name: str, replacement: "SymExpr") -> "SymExpr":
@@ -646,50 +749,68 @@ class SymExpr:
 
     def replace_atom(self, target: _Atom, replacement: "SymExpr") -> "SymExpr":
         """Replace every occurrence of ``target`` (even nested) by an expr."""
-        total = SymExpr({})
+        terms: Dict[_Monomial, Fraction] = {}
+        changed = False
         for mono, coeff in self._terms:
-            term = SymExpr._const(coeff)
+            kept: List[Tuple[_Base, int]] = []
+            factors: List[SymExpr] = []
             for base, exp in mono:
                 if isinstance(base, str):
-                    factor = SymExpr._symbol(base)
-                elif base == target:
+                    factor = None
+                elif base is target:
                     factor = replacement
                 else:
                     factor = SymExpr._atom_replace(base, target, replacement)
-                for _ in range(exp):
-                    term = term * factor
-            total = total + term
-        return total
+                if factor is None:
+                    kept.append((base, exp))
+                else:
+                    factors.extend([factor] * exp)
+            changed = changed or bool(factors)
+            _add_product(terms, tuple(kept), coeff, factors)
+        return SymExpr(terms) if changed else self
 
     @staticmethod
-    def _atom_replace(atom: _Atom, target: _Atom, replacement: "SymExpr") -> "SymExpr":
-        if isinstance(atom, Mod):
-            arg = atom.arg.replace_atom(target, replacement)
-            if arg == atom.arg:
-                return SymExpr._atom(atom)
-            return mod(arg, atom.modulus)
-        if isinstance(atom, FloorDiv):
-            arg = atom.arg.replace_atom(target, replacement)
-            if arg == atom.arg:
-                return SymExpr._atom(atom)
-            return floordiv(arg, atom.modulus)
-        if isinstance(atom, Pos):
-            arg = atom.arg.replace_atom(target, replacement)
-            if arg == atom.arg:
-                return SymExpr._atom(atom)
-            return pos(arg)
-        if isinstance(atom, Ge0):
-            arg = atom.arg.replace_atom(target, replacement)
-            if arg == atom.arg:
-                return SymExpr._atom(atom)
-            return ge0(arg)
+    def _atom_replace(
+        atom: _Atom, target: _Atom, replacement: "SymExpr"
+    ) -> Optional["SymExpr"]:
+        """``atom`` with ``target`` replaced inside, or None if unchanged."""
         if isinstance(atom, BoundedSum):
             body = atom.body.replace_atom(target, replacement)
             bound = atom.bound.replace_atom(target, replacement)
-            if body == atom.body and bound == atom.bound:
-                return SymExpr._atom(atom)
+            if body is atom.body and bound is atom.bound:
+                return None
             return bounded_sum(atom.var, bound, body)
-        raise SymbolicUnsupported(f"cannot rewrite {atom!r}")
+        if not isinstance(atom, (Mod, FloorDiv, Pos, Ge0)):
+            raise SymbolicUnsupported(f"cannot rewrite {atom!r}")
+        arg = atom.arg.replace_atom(target, replacement)
+        if arg is atom.arg:
+            return None
+        if isinstance(atom, Mod):
+            return mod(arg, atom.modulus)
+        if isinstance(atom, FloorDiv):
+            return floordiv(arg, atom.modulus)
+        if isinstance(atom, Pos):
+            return pos(arg)
+        return ge0(arg)
+
+
+def _add_product(
+    terms: Dict[_Monomial, Fraction],
+    mono: _Monomial,
+    coeff: Fraction,
+    factors: List[SymExpr],
+) -> None:
+    """Accumulate ``coeff * mono * prod(factors)`` into ``terms``."""
+    if factors:
+        product = SymExpr({mono: coeff})
+        for factor in factors:
+            product = product * factor
+        pairs = product._terms
+    else:
+        pairs = ((mono, coeff),)
+    for mono, coeff in pairs:
+        prev = terms.get(mono)
+        terms[mono] = coeff if prev is None else prev + coeff
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +833,7 @@ _FRESH = [0]
 def fresh_name() -> str:
     """A globally fresh bound-variable name (for sums)."""
     _FRESH[0] += 1
-    return f"__q{_FRESH[0]}"
+    return f"{_FRESH_PREFIX}{_FRESH[0]}"
 
 
 def _modulus_norm(modulus):
@@ -806,7 +927,7 @@ def mod(expr, modulus) -> SymExpr:
         mono, coeff = remainder._terms[0]
         if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
             base = mono[0][0]
-            if isinstance(base, Mod) and _modulus_key(base.modulus) == _modulus_key(modulus):
+            if isinstance(base, Mod) and base.modulus == modulus:
                 return remainder  # mod(mod(x, m), m) = mod(x, m)
     return SymExpr._atom(Mod(remainder, modulus))
 

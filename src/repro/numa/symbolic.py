@@ -40,6 +40,7 @@ from repro.linalg.sympoly import (
     bounded_sum,
     compile_account,
     const,
+    derivation,
     eq0,
     eval_cost,
     floordiv,
@@ -145,7 +146,8 @@ class SymbolicEngine:
         self._hint = self._make_hint(
             {self.procs_name: _NOMINAL_PROCS, self.proc_name: 0}
         )
-        self.forms: Dict[str, SymExpr] = self._derive()
+        with derivation():
+            self.forms: Dict[str, SymExpr] = self._derive()
         # One fused evaluator for all fields: sums sharing a summation
         # level run in one loop (or one residue-class plan) and shared
         # atoms evaluate once.  Bound-variable shadowing raises
@@ -153,7 +155,10 @@ class SymbolicEngine:
         # ladder.  The identity snapshot lets _fused() detect callers
         # that rebind ``self.forms`` entries (certification injects
         # defective forms this way) and recompile, so evaluation can
-        # never serve a stale pre-mutation evaluator.
+        # never serve a stale pre-mutation evaluator.  SymExprs are
+        # hash-consed, so ``is`` is structural equality: rebinding an
+        # entry to an equal form keeps the evaluator, which is still
+        # exact for it.
         self._account = compile_account(self.forms)
         self._account_forms = tuple(self.forms.values())
 
@@ -484,10 +489,12 @@ class SymbolicEngine:
     def _fused(self):
         """The fused evaluator for the *current* ``self.forms``.
 
-        Recompiled whenever a form object has been rebound since the last
-        compile, so mutations of ``self.forms`` (defect injection during
-        certification, experimental form surgery) are always honored by
-        the evaluation path the certificate vouches for.
+        Recompiled whenever a form has been rebound to a different one
+        since the last compile (forms are hash-consed, so ``is not``
+        means structurally different), so mutations of ``self.forms``
+        (defect injection during certification, experimental form
+        surgery) are always honored by the evaluation path the
+        certificate vouches for.
         """
         current = tuple(self.forms.values())
         if len(current) != len(self._account_forms) or any(
