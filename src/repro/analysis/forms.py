@@ -571,7 +571,7 @@ class FormsPass:
                     "FORM003",
                     Severity.WARNING,
                     f"residual BoundedSum loops put form evaluation at "
-                    f"~{cost} flat ops under the default parameters "
+                    f"~{cost} loop ops under the default parameters "
                     f"(auto ceiling {SYMBOLIC_COST_CEILING}); the auto "
                     "engine will demote this nest to the closed-form tier",
                     Span(program=program_name, reference="forms"),

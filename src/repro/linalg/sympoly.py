@@ -1614,16 +1614,37 @@ def _int_power_sum(k: int, n: int) -> int:
 # residue-class run plans
 # ---------------------------------------------------------------------------
 
-#: Below this trip count the plain fused loop wins over a plan run
-#: (dispatch + free-slot evaluation dominate); calibrated together with
-#: the cost constants by scripts/bench_sympoly.py.
-_PLAN_MIN_TRIPS = 12
 _PLAN_MAX_DEGREE = 16
-#: Cost-model constants for one specialized run (flat-op units matching
-#: eval_cost): fixed setup, and per-residue-class overhead on top of the
-#: leaf polynomial work.  Recorded in BENCH_simulator.json "sympoly".
-_PLAN_SETUP_OPS = 24
-_PLAN_CLASS_OPS = 14
+#: The evaluation cost model, in *loop ops*: the wall time of one flat
+#: op (:func:`_flat_ops`) in an iteration of a fused loop.  Both sides of
+#: the plan-vs-loop rule (:meth:`_LoopPlan.choose`) are priced in it:
+#:
+#: * a fused loop level costs ``trips * (_LOOP_ITER_OPS + iter_ops)``,
+#:   the fixed part being the loop header, accumulators and induction
+#:   registers of one iteration;
+#: * a residue-class plan run costs
+#:   ``_PLAN_SETUP_OPS + segments * _PLAN_SEGMENT_OPS``, where
+#:   ``segments = classes * (1 + clamps)``: every residue class, split
+#:   once more by each Pos/Ge0 spec whose sign changes inside it.
+#:
+#: scripts/bench_sympoly.py fits the constants at paper scale — the
+#: unit and the loop overhead on the fused loops of the Figure 4/5
+#: planned levels, the plan's setup and per-class cost on the real SYR2K
+#: kernel — and records the fit in the "sympoly" section of
+#: BENCH_simulator.json.
+_LOOP_ITER_OPS = 56
+_PLAN_SETUP_OPS = 11000
+_PLAN_SEGMENT_OPS = 1900
+#: A plan run bails to the fused loop once its segment work passes this
+#: multiple of its own price.
+_PLAN_BUDGET = 2
+
+
+def _loop_price(trips: int, iter_ops: int) -> int:
+    """Loop ops of a fused loop level: ``trips`` iterations of a body
+    of ``iter_ops`` flat ops (nested levels included)."""
+    return trips * (_LOOP_ITER_OPS + iter_ops)
+
 
 _POS, _GE0, _MOD, _FDIV = 0, 1, 2, 3
 
@@ -1657,10 +1678,19 @@ class _LoopPlan:
     a symbolic worst case, and no closed form has to survive in the
     expression tree.
 
-    ``run`` returns ``None`` — the caller falls back to the emitted
-    fused loop — when a runtime modulus is non-positive or the work
-    budget (a small multiple of the plain loop's cost) is exceeded, so
-    a plan can never lose by more than a constant factor.
+    Splitting pays only when the classes are few next to the trips: a
+    run's setup and each of its segment visits cost as much interpreter
+    work as many loop iterations.  The emitted code therefore calls
+    :meth:`dispatch`, which asks :meth:`choose` — the one plan-vs-loop
+    rule, also what :func:`planned_cost` prices — before any segment
+    work.  :meth:`run` is the plan itself, with no rule in front.
+
+    Both return ``None`` — the caller falls back to the emitted fused
+    loop — when a runtime modulus is non-positive or the run exceeds its
+    work budget: ``_PLAN_BUDGET`` times its own price, counted in the
+    rule's loop ops.  The rule only runs a plan priced below the loop,
+    so a plan it chose never costs more than about three fused loops
+    (its budget plus the fallback), in the unit the rule was fitted in.
     """
 
     __slots__ = (
@@ -1669,8 +1699,8 @@ class _LoopPlan:
         "dens",
         "free_fn",
         "moduli",
-        "leaf_ops",
-        "_unit",
+        "iter_ops",
+        "clamps",
     )
 
     def __init__(self, var: str, bodies: List[SymExpr]) -> None:
@@ -1756,7 +1786,6 @@ class _LoopPlan:
 
         mplans = []
         dens = []
-        leaf_ops = 2
         for body in bodies:
             den, terms = body._eval_plan()
             mterms = []
@@ -1782,23 +1811,61 @@ class _LoopPlan:
                 if degree > _PLAN_MAX_DEGREE:
                     raise _PlanBuild
                 mterms.append((coeff, tuple(factors)))
-                leaf_ops += 2 + len(factors)
             mplans.append(tuple(mterms))
             dens.append(den)
         self.specs = tuple(specs)
         self.members = tuple(mplans)
         self.dens = tuple(dens)
         self.moduli = tuple(moduli)
-        self.leaf_ops = leaf_ops
-        self._unit = leaf_ops + len(specs) + 2
+        self.iter_ops = sum(_flat_ops(body) for body in bodies)
+        self.clamps = sum(1 for spec in specs if spec[0] <= _GE0)
         self.free_fn = _compile_exprs(free_exprs) if free_exprs else None
+
+    def price(self, trips: int, classes: int) -> int:
+        """Loop ops of one run over ``trips`` iterations whose moduli
+        have lcm ``classes``; at most ``trips`` classes are non-empty."""
+        segments = (classes if classes < trips else trips) * (1 + self.clamps)
+        return _PLAN_SETUP_OPS + segments * _PLAN_SEGMENT_OPS
+
+    def choose(self, trips: int, classes: int) -> Tuple[bool, int]:
+        """The plan-vs-loop rule: ``(run the plan?, price in loop ops)``.
+
+        The plan runs only when its price is below the fused loop's over
+        the same ``trips``.
+        """
+        loop = _loop_price(trips, self.iter_ops)
+        plan = self.price(trips, classes)
+        if plan < loop:
+            return True, plan
+        return False, loop
+
+    def dispatch(self, env: Mapping[str, int], limit: int):
+        """What the emitted code calls: :meth:`run` where the rule picks
+        the plan, ``None`` (run the fused loop) elsewhere."""
+        # Every level has at least one class: when one does not pay, no
+        # class count will, and the free slots need not be evaluated.
+        if not self.choose(limit, 1)[0]:
+            return None
+        bound = self._bind(env)
+        if bound is None or not self.choose(limit, bound[2])[0]:
+            return None
+        return self._run(*bound, limit)
 
     def run(self, env: Mapping[str, int], limit: int):
         """Per-member totals over ``range(max(0, limit))`` — or None."""
         if limit <= 0:
             return tuple(0 for _ in self.members)
+        bound = self._bind(env)
+        if bound is None:
+            return None
+        return self._run(*bound, limit)
+
+    def _bind(self, env: Mapping[str, int]):
+        """``(free values, per-spec moduli, class count)`` under ``env``,
+        or None when a modulus is non-positive."""
         fvals = self.free_fn(env) if self.free_fn is not None else ()
         mods = []
+        classes = 1
         for kind, _terms, _fslot, mconst, mslot in self.specs:
             if kind >= _MOD:
                 m = mconst if mconst is not None else fvals[mslot]
@@ -1806,10 +1873,14 @@ class _LoopPlan:
                     # The fused loop's checked atoms report this exactly.
                     return None
                 mods.append(m)
+                classes = classes * m // _gcd(classes, m)
             else:
                 mods.append(0)
+        return fvals, mods, classes
+
+    def _run(self, fvals, mods, classes: int, limit: int):
         out = [0] * len(self.members)
-        state = [2 * (limit + 8) * self._unit]
+        state = [_PLAN_BUDGET * self.price(limit, classes)]
         psums: Dict[Tuple[int, int], int] = {}
         try:
             self._segment(
@@ -1829,12 +1900,12 @@ class _LoopPlan:
         ``res[i]`` holds spec ``i`` resolved to ``(slope, intercept)``
         in the local index ``j``, or None while unresolved.
         """
+        state[0] -= _PLAN_SEGMENT_OPS
+        if state[0] < 0:
+            raise _PlanBail
         while True:
             if count <= 0:
                 return
-            state[0] -= self._unit
-            if state[0] < 0:
-                raise _PlanBail
             pending = False
             progressed = False
             clamp_split = None
@@ -1860,6 +1931,11 @@ class _LoopPlan:
                 if blocked:
                     pending = True
                     continue
+                if count == 1:
+                    # One iteration: every argument is constant, so the
+                    # spec resolves here instead of splitting a
+                    # one-element range into itself.
+                    slope = 0
                 if kind <= _GE0:
                     if slope == 0:
                         if kind == _POS:
@@ -1938,9 +2014,6 @@ class _LoopPlan:
                 return
             raise _PlanBail  # unresolvable dependency chain
         # Leaf: every spec affine in j — close by Faulhaber power sums.
-        state[0] -= self.leaf_ops
-        if state[0] < 0:
-            raise _PlanBail
         for mi, mterms in enumerate(self.members):
             total = 0
             for coeff, factors in mterms:
@@ -2224,12 +2297,10 @@ class _Emitter:
         self.lines.append(f"{pad}    {limit} = 0")
         plan = _build_plan(var, [member.body for member in members])
         meta = {
+            "var": var,
             "bound": bound,
             "iter_ops": sum(_flat_ops(member.body) for member in members),
-            "plan": plan is not None,
-            "moduli": plan.moduli if plan is not None else (),
-            "nspecs": len(plan.specs) if plan is not None else 0,
-            "leaf_ops": plan.leaf_ops if plan is not None else 0,
+            "plan": plan,
             "children": [],
         }
         self._meta_stack[-1].append(meta)
@@ -2239,8 +2310,7 @@ class _Emitter:
             self.uses_env = True
             result = self.temp()
             self.lines.append(
-                f"{pad}{result} = _plan{plan_id}.run(_env, {limit})"
-                f" if {limit} >= {_PLAN_MIN_TRIPS} else None"
+                f"{pad}{result} = _plan{plan_id}.dispatch(_env, {limit})"
             )
             self.lines.append(f"{pad}if {result} is None:")
             fb_scope: _Scope = _Scope(scope)
@@ -2396,46 +2466,51 @@ def compile_account(forms: "Mapping[str, SymExpr]"):
     return fn
 
 
-def planned_cost(tree, extent_hint) -> int:
-    """Estimated flat ops for one call of a compiled evaluator.
+def planned_cost(tree, env: Mapping[str, int], fallback_trips: int) -> int:
+    """Estimated loop ops for one call of a compiled evaluator.
 
-    Mirrors the choice the emitted code makes at runtime: a fused group
-    costs the cheaper of its plain loop and — when a plan compiled and
-    the trip count clears the dispatch threshold — its residue-class
-    run, whose class count is the lcm of the *concrete* moduli under
-    ``extent_hint``, capped at the trip count.  This is what lets the
-    promotion gates see that a banded form with a wrapped outer level
-    evaluates in O(classes), not O(trips)."""
+    Prices the branch the emitted code runs: a fused group costs its
+    plain loop, or — when a plan compiled — whatever
+    :meth:`_LoopPlan.choose` picks for its trip count and the lcm of
+    its moduli under ``env``, the same rule the runtime dispatch asks.
+    A nested level's bound mentions the enclosing loop variables; they
+    are bound at the middle of their ranges, which gives the mean trip
+    count of a bound affine in them.  A bound that cannot be evaluated
+    under ``env`` counts ``fallback_trips`` iterations."""
 
-    def group_cost(meta) -> int:
-        trips = extent_hint(meta["bound"])
+    def extent(expr: SymExpr, scope) -> int:
+        try:
+            return int(expr.evaluate(scope))
+        except (KeyError, ValueError, SymbolicUnsupported):
+            return fallback_trips
+
+    def group_cost(meta, scope) -> int:
+        trips = extent(meta["bound"], scope)
         if trips < 0:
             trips = 0
-        per_iter = 1 + meta["iter_ops"]
-        for child in meta["children"]:
-            per_iter += group_cost(child)
-        cost = trips * per_iter
-        if meta["plan"] and trips >= _PLAN_MIN_TRIPS:
+        plan = meta["plan"]
+        if plan is not None:
+            # Planned bodies hold no nested sums, so no children.
             classes = 1
-            for modulus in meta["moduli"]:
+            for modulus in plan.moduli:
                 value = (
                     modulus
                     if isinstance(modulus, int)
-                    else max(1, extent_hint(modulus))
+                    else max(1, extent(modulus, scope))
                 )
                 classes = classes * value // _gcd(classes, value)
                 if classes >= trips:
                     break
-            if classes > trips:
-                classes = trips
-            run = _PLAN_SETUP_OPS + classes * (
-                _PLAN_CLASS_OPS + meta["nspecs"] + meta["leaf_ops"]
-            )
-            if run < cost:
-                cost = run
-        return cost
+            return plan.choose(trips, classes)[1]
+        iter_ops = meta["iter_ops"]
+        if meta["children"]:
+            inner = dict(scope)
+            inner[meta["var"]] = (trips - 1) // 2 if trips > 0 else 0
+            for child in meta["children"]:
+                iter_ops += group_cost(child, inner)
+        return _loop_price(trips, iter_ops)
 
     total = tree["root_ops"]
     for meta in tree["groups"]:
-        total += group_cost(meta)
+        total += group_cost(meta, env)
     return total

@@ -774,18 +774,23 @@ def _scheduled_values(
 ENGINES = ("auto", "symbolic", "closed-form", "compiled", "walk")
 
 #: Auto tier selection demotes a derivable symbolic form to the next
-#: tier when its estimated per-processor evaluation cost (flat ops, see
+#: tier when its estimated per-processor evaluation cost (loop ops, see
 #: :meth:`SymbolicEngine.estimate_cost`) exceeds this ceiling — a form
 #: dominated by residual ``BoundedSum`` loops over large extents can be
-#: slower than the closed-form engine it would replace.  The estimate is
-#: plan-aware (fused loops costed once, residue-class plan levels at
-#: O(classes)); one estimated op measures ~0.3–0.6 µs of compiled-form
-#: evaluation (``scripts/bench_sympoly.py``, recorded in
-#: ``BENCH_simulator.json``), so the ceiling admits accounts up to tens
-#: of milliseconds — the regime where the banded paper kernels still
-#: beat the closed-form tier.  Forcing ``engine="symbolic"`` bypasses
+#: slower than the closed-form engine it would replace.  The estimate
+#: prices the branch the evaluator runs at each fused level (loop or
+#: residue-class plan, by the rule both share), so the ceiling is a
+#: per-cell wall bound: about 64 ms of form evaluation per processor,
+#: just above banded SYR2K at paper scale and P=1, the costliest cell
+#: the symbolic tier should still answer.  Derivation, from the
+#: ``sympoly`` records of ``BENCH_simulator.json``
+#: (``scripts/bench_sympoly.py``): the bound was set as 120,000 ops of
+#: the previous cost model at its recorded SYR2K P=1 conversion of
+#: 534.8 ns/op, i.e. 64.2 ms; at the recorded conversion of the loop-op
+#: model, 3.595 ns per estimated op at the same cell, 64.2 ms is 17.9M
+#: loop ops, rounded to 18M.  Forcing ``engine="symbolic"`` bypasses
 #: the ceiling.
-SYMBOLIC_COST_CEILING = 120_000
+SYMBOLIC_COST_CEILING = 18_000_000
 
 
 def _cached_form(node: NodeProgram):

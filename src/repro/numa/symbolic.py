@@ -525,24 +525,25 @@ class SymbolicEngine:
         return {name: form.term_count() for name, form in self.forms.items()}
 
     def estimate_cost(self, env: Dict[str, int], processors: int) -> int:
-        """Estimated flat-op count to evaluate all fields for one processor.
+        """Estimated loop ops to evaluate all fields for one processor.
 
-        Concrete bounds (``BoundedSum`` extents) are evaluated under the
-        given parameter binding; bounds that still mention an enclosing
-        loop variable fall back to a nominal extent.  ``simulate``'s auto
-        tier selection uses this to demote a derivable-but-expensive form
-        (residual loops over large extents) to the next tier; a forced
-        ``symbolic`` engine is never demoted.
+        Bounds (``BoundedSum`` extents) are evaluated under the given
+        parameter binding, a nested level's at the middle of its
+        enclosing ranges; a bound that cannot be evaluated counts a
+        nominal extent.  ``simulate``'s auto tier selection uses this to
+        demote a derivable-but-expensive form (residual loops over large
+        extents) to the next tier; a forced ``symbolic`` engine is never
+        demoted.
 
         The estimate walks the fused evaluator's cost tree
-        (:func:`~repro.linalg.sympoly.planned_cost`), mirroring what the
-        runtime will actually execute: fused loops are costed once —
-        not once per field — and a level with a residue-class plan costs
-        O(classes) with the *concrete* ``lcm`` of its moduli, so banded
-        forms whose wrapped levels collapse to one class promote
-        honestly instead of being demoted by a worst-case loop model.
+        (:func:`~repro.linalg.sympoly.planned_cost`) and prices what the
+        runtime executes: fused loops are costed once — not once per
+        field — and a level with a residue-class plan costs whichever of
+        its plan and its loop the plan-vs-loop rule picks for the
+        *concrete* trip count and ``lcm`` of its moduli, the same rule
+        the evaluator's dispatch asks.
         """
         eval_env = dict(env)
         eval_env[self.procs_name] = processors
         eval_env[self.proc_name] = 0
-        return planned_cost(self._fused().cost_tree, self._make_hint(eval_env))
+        return planned_cost(self._fused().cost_tree, eval_env, _NOMINAL_EXTENT)

@@ -14,13 +14,13 @@ import os
 
 import pytest
 
-from repro.bench import gemm_variants, syr2k_variants
+from repro.bench import PAPER_PROCS, gemm_variants, syr2k_variants
 from repro.codegen import generate_spmd
 from repro.core import access_normalize
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.fuzz.generator import generate_spec
 from repro.lang import parse_program
-from repro.linalg import Progression
+from repro.linalg import Progression, sympoly
 from repro.linalg.sympoly import (
     SymbolicUnsupported,
     bounded_sum,
@@ -44,6 +44,36 @@ from repro.service.jobs import _parse_bindings, _parse_candidate, run_solve
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO_ROOT, "examples", "programs")
+
+
+def _force_branch(monkeypatch, branch):
+    """Make every plan dispatch run ``branch``: the plan itself
+    ("plan") or the fused loop ("loop")."""
+
+    def forced(plan, env, limit):
+        if branch == "loop":
+            return None
+        result = plan.run(env, limit)
+        assert result is not None, "a plan run bailed"
+        return result
+
+    monkeypatch.setattr(sympoly._LoopPlan, "dispatch", forced)
+
+
+def _record_dispatches(monkeypatch, only=None):
+    """Record ``(trips, plan ran)`` for each non-empty plan dispatch
+    (of plan ``only``, when given)."""
+    taken = []
+    original = sympoly._LoopPlan.dispatch
+
+    def recording(plan, env, limit):
+        result = original(plan, env, limit)
+        if limit > 0 and (only is None or plan is only):
+            taken.append((limit, result is not None))
+        return result
+
+    monkeypatch.setattr(sympoly._LoopPlan, "dispatch", recording)
+    return taken
 
 
 def _example_source(name):
@@ -497,11 +527,16 @@ class TestResidueClassSpecialization:
         fused = engine._fused()
         assert any(plan is not None for plan in fused.plans)
 
-    def test_plan_matches_interpreter_on_synthetic_mod_sums(self):
+    def test_plan_matches_interpreter_on_synthetic_mod_sums(
+        self, monkeypatch
+    ):
         # Direct sympoly-level check: a banded-style sum whose body
         # carries Mod/FloorDiv/Pos atoms in the bound variable, over
-        # trip counts below and above the plan threshold, for several
-        # moduli (incl. 1, where every class collapses).
+        # trip counts below and above where the rule starts taking the
+        # plan, for several moduli (incl. 1, where every class
+        # collapses).  Each branch is checked: the rule's pick, the
+        # plan run on every range (bypassing the rule), and the fused
+        # fallback loop on every range.
         q = sym("q")
         P = sym("P")
         n = sym("n")
@@ -514,12 +549,117 @@ class TestResidueClassSpecialization:
         expr = bounded_sum("q", n, body) + bounded_sum(
             "r", mod(n, P) + 2, sym("r") + 7
         )
-        fast = expr.compiled()
-        for N in (0, 1, 7, 12, 13, 40, 97):
-            for procs in (1, 2, 3, 4, 7):
-                for c in (0, 3, 50):
-                    env = {"n": N, "P": procs, "c": c}
-                    assert fast(env) == expr.evaluate(env), env
+        fast = compile_account({"value": expr})
+        assert fast.plans
+        for branch in ("rule", "plan", "loop"):
+            with monkeypatch.context() as patch:
+                if branch != "rule":
+                    _force_branch(patch, branch)
+                for N in (0, 1, 7, 12, 13, 40, 97, 2000):
+                    for procs in (1, 2, 3, 4, 7):
+                        for c in (0, 3, 50):
+                            env = {"n": N, "P": procs, "c": c}
+                            key = (branch, env)
+                            assert fast(env)[0] == expr.evaluate(env), key
+
+    def test_plan_resolves_ranges_shorter_than_their_period(self):
+        # A range shorter than its residue period splits into
+        # one-iteration classes; those must resolve, not split into
+        # themselves until the work budget gives up.
+        q = sym("q")
+        P = sym("P")
+        expr = bounded_sum("q", sym("n"), mod(q, P) + floordiv(3 * q, P))
+        (plan,) = compile_account({"value": expr}).plans
+        for trips in range(1, 12):
+            env = {"n": trips, "P": 13}
+            assert plan.run(env, trips) == (expr.evaluate(env),), trips
+
+    @pytest.mark.parametrize("processors", [1, 4, 28])
+    def test_plan_run_matches_fallback_on_syr2k_at_paper_scale(
+        self, processors, monkeypatch
+    ):
+        # The SYR2K forms at paper scale (N=400, b=48), where the rule
+        # keeps the plan off most ranges: the plan run on every range,
+        # the fused fallback on every range, and the interpreter agree.
+        for name, node in syr2k_variants(400, 48).items():
+            engine = SymbolicEngine(node)
+            fused = compile_account(engine.forms)
+            assert fused.plans, name
+            env = node.program.bound_params(None)
+            for proc in sorted({0, processors - 1}):
+                point = dict(env)
+                point[engine.procs_name] = processors
+                point[engine.proc_name] = proc
+                values = {}
+                for branch in ("plan", "loop"):
+                    with monkeypatch.context() as patch:
+                        _force_branch(patch, branch)
+                        values[branch] = fused(point)
+                key = (name, processors, proc)
+                assert values["plan"] == values["loop"], key
+                reference = tuple(
+                    engine.forms[field].evaluate(point)
+                    for field in fused.fields
+                )
+                assert values["loop"] == reference, key
+
+    def test_rule_takes_the_plan_for_syr2k_only_at_one_processor(
+        self, monkeypatch
+    ):
+        # At P=1 the SYR2K plan has one residue class and beats the
+        # fused loop on the long ranges; at P=28 its 28 classes cost
+        # several times the loop on every range.
+        node = syr2k_variants(400, 48)["syr2k"]
+        engine = SymbolicEngine(node)
+        env = node.program.bound_params(None)
+        taken = _record_dispatches(monkeypatch)
+        engine.account(env, 1, 0)
+        assert any(plan_ran for _trips, plan_ran in taken)
+        longest = max(trips for trips, _plan_ran in taken)
+        assert all(plan_ran for trips, plan_ran in taken if trips == longest)
+        taken.clear()
+        for proc in (0, 27):
+            engine.account(env, 28, proc)
+        assert taken and not any(plan_ran for _trips, plan_ran in taken)
+
+    def test_planned_cost_prices_the_branch_the_runtime_takes(
+        self, monkeypatch
+    ):
+        # For every planned level of the Figure 4/5 forms and every
+        # paper processor count, estimate_cost prices the branch the
+        # evaluator runs on most of that level's ranges.  (A nested
+        # level is priced at its mean trip count; the runtime decides
+        # per range, so at P=1 the short ranges of SYR2K's band edges
+        # run the loop while the estimate prices the plan.)
+        priced = {}
+        original_choose = sympoly._LoopPlan.choose
+
+        def pricing(plan, trips, classes):
+            decision = original_choose(plan, trips, classes)
+            priced[plan] = decision[0]
+            return decision
+
+        for variants in (gemm_variants(400), syr2k_variants(400, 48)):
+            for name, node in variants.items():
+                engine = SymbolicEngine(node)
+                plans = engine._fused().plans
+                env = node.program.bound_params(None)
+                for processors in PAPER_PROCS:
+                    priced.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sympoly._LoopPlan, "choose", pricing)
+                        engine.estimate_cost(env, processors)
+                    assert set(priced) == set(plans), name
+                    for plan in plans:
+                        with monkeypatch.context() as patch:
+                            taken = _record_dispatches(patch, plan)
+                            engine.account(env, processors, 0)
+                        if not taken:
+                            continue
+                        ran = sum(plan_ran for _trips, plan_ran in taken)
+                        majority = 2 * ran > len(taken)
+                        key = (name, processors, ran, len(taken))
+                        assert priced[plan] == majority, key
 
     def test_plan_falls_back_on_nonpositive_modulus(self):
         # A runtime modulus <= 0 must raise the checked-atom error from
