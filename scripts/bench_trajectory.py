@@ -41,6 +41,17 @@ paper's hand-picked transformation (``best_vs_paper <= 1`` means the
 search matched or beat the paper).  ``--check`` gates both properties:
 at least 100 legality-pruned candidates explored, and the best schedule
 no slower than the paper's.
+
+The ``certify`` section records symbolic-form certification on fuzz
+campaign 0, cases 0-11 (the seed set of the ROADMAP's certification
+numbers), the same at every scale: per case, the grid points the
+certificates of its node programs checked, the wall of certifying them
+from derived forms, and the oracle's ``certified`` verdict; then the
+totals and the verdict histogram.  ``certify_before`` holds the same
+measurement of the tree before the certificate grid shrank
+(docs/performance.md gives the command) and is kept as recorded.
+``--check`` fails if the total points exceed the recorded ``certify``
+value or if a case recorded ``yes`` is no longer ``yes``.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -117,6 +129,10 @@ TUNE_SCALES = {
 #: schedule may compare to the paper's hand-picked one at full scale.
 TUNE_MIN_EXPLORED = 100
 TUNE_MAX_VS_PAPER = 1.0005  # exact tie expected; tiny float headroom
+
+#: The certification benchmark: fuzz campaign 0, cases 0-11.
+CERTIFY_CAMPAIGN = 0
+CERTIFY_CASES = 12
 
 #: The auto-vs-walk wall bound in ``--check`` only applies when the
 #: forced walk itself took at least this long: below it (CI smoke
@@ -290,6 +306,57 @@ def _measure_tune(config, jobs):
     }
 
 
+def _certify_case(index):
+    """One fuzz case's verdict, certificate grid points and certify wall.
+
+    The verdict is the oracle's own (``fuzz_task``).  The points and the
+    wall come from certifying the node programs the oracle builds again,
+    from derived forms, with the caches cleared first.
+    """
+    from repro.analysis.forms import certify_engine
+    from repro.codegen.spmd import generate_spmd
+    from repro.core.normalize import access_normalize
+    from repro.fuzz.generator import generate_spec
+    from repro.fuzz.oracle import DEFAULT_SCHEDULES, fuzz_task
+    from repro.numa.simulator import _cached_form
+
+    shared_cache().clear()
+    record = fuzz_task((index, CERTIFY_CAMPAIGN))
+    shared_cache().clear()
+    result = access_normalize(generate_spec(record.seed).build())
+    points = 0
+    wall = 0.0
+    for schedule in DEFAULT_SCHEDULES:
+        node = generate_spmd(
+            result.transformed, schedule=schedule,
+            sync_events=result.outer_carried_count,
+        )
+        status = _cached_form(node)
+        if status[0] != "ok":
+            continue
+        start = time.perf_counter()
+        certificate = certify_engine(status[1])
+        wall += time.perf_counter() - start
+        points += certificate.points
+    return {
+        "points": points,
+        "certify_s": round(wall, 4),
+        "verdict": record.certified,
+    }
+
+
+def _measure_certify():
+    cases = {str(index): _certify_case(index) for index in range(CERTIFY_CASES)}
+    verdicts = Counter(case["verdict"] for case in cases.values())
+    return {
+        "campaign": CERTIFY_CAMPAIGN,
+        "cases": cases,
+        "points": sum(case["points"] for case in cases.values()),
+        "certify_s": round(sum(case["certify_s"] for case in cases.values()), 4),
+        "verdicts": dict(verdicts),
+    }
+
+
 def run_benchmark(scale, jobs):
     document = {
         "schema": 1,
@@ -348,11 +415,18 @@ def run_benchmark(scale, jobs):
             f"{section['wall_s']:.1f}s; best vs paper at full scale: "
             f"{ratio:.4f}x"
         )
+    certify = _measure_certify()
+    document["certify"] = certify
+    print(
+        f"certify: fuzz campaign {certify['campaign']} cases 0-"
+        f"{CERTIFY_CASES - 1}: {certify['points']} grid points in "
+        f"{certify['certify_s']:.2f}s, verdicts {certify['verdicts']}"
+    )
     return document
 
 
 def check_coverage(document, recorded_path):
-    """Fail if symbolic or analytic coverage dropped below the record."""
+    """Fail if coverage or certification fell behind the record."""
     with open(recorded_path, "r", encoding="utf-8") as handle:
         recorded = json.load(handle)
     failures = []
@@ -411,6 +485,20 @@ def check_coverage(document, recorded_path):
                 f"{name}: tuner best is {ratio}x of the paper's hand-picked "
                 f"schedule at full scale (must be <= {TUNE_MAX_VS_PAPER})"
             )
+    baseline = recorded.get("certify")
+    if baseline is not None:
+        fresh = document["certify"]
+        if fresh["points"] > baseline["points"]:
+            failures.append(
+                f"certify: {fresh['points']} grid points exceed the recorded "
+                f"{baseline['points']}"
+            )
+        for index, case in baseline["cases"].items():
+            verdict = fresh["cases"][index]["verdict"]
+            if case["verdict"] == "yes" and verdict != "yes":
+                failures.append(
+                    f"certify: fuzz case {index} dropped from yes to {verdict}"
+                )
     return failures
 
 
@@ -422,7 +510,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="compare symbolic/analytic coverage against the recorded "
+        help="compare coverage and certification against the recorded "
         "JSON and fail on regression instead of rewriting it",
     )
     parser.add_argument("--jobs", type=int, default=1)
@@ -438,16 +526,20 @@ def main(argv=None):
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:
             return 1
-        print(f"symbolic/analytic coverage holds against {args.output}")
+        print(
+            f"coverage and certification hold against {args.output}"
+        )
         return 0
 
     # Re-recording the sweeps must not drop sections other tools own
-    # (bench_sympoly.py writes the evaluator micro-benchmark here).
+    # (bench_sympoly.py writes the evaluator micro-benchmark here) or
+    # the once-recorded certification baseline.
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
             previous = json.load(handle)
-        if "sympoly" in previous:
-            document["sympoly"] = previous["sympoly"]
+        for section in ("sympoly", "certify_before"):
+            if section in previous:
+                document[section] = previous[section]
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

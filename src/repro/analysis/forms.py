@@ -27,17 +27,26 @@ The pass does two things:
    interpolation argument, not sampling:
 
    * with the processor count ``P`` fixed, every modulus in the form is a
-     concrete integer; the form restricted to one parameter axis is
-     quasi-polynomial with congruence period ``L`` (the lcm of the
-     moduli of atoms that move with the parameter) and degree at most
-     ``d`` (computed structurally, ``Mod``/``Ge0`` contributing degree
-     0, ``FloorDiv``/``Pos`` the degree of their argument, and a
-     ``BoundedSum`` ``deg(body) + deg(bound) * (1 + inner-degree)``);
-   * two quasi-polynomials of period ``L`` and degree ``<= d`` that
-     agree on ``d + 1`` points in every residue class are identical, so
-     the grid takes ``L * (d + 1)`` consecutive integer values per
-     parameter (a tensor-product grid over several parameters) anchored
-     at the program's default bindings;
+     concrete integer; along each parameter axis the form is
+     quasi-polynomial with congruence period ``L`` (the lcm of the moduli
+     of atoms that move with the parameter), so on one residue class
+     ``anchor + r + L∘y`` it is a polynomial in ``y``;
+   * its degree is bounded by a *joint* degree over a set of variables:
+     a symbol in the set counts 1, ``Mod``/``Ge0`` count 0,
+     ``FloorDiv``/``Pos`` the degree of their argument, and a
+     ``BoundedSum`` whose bound has degree ``g >= 1`` counts
+     ``g * (t + 1)``, where ``t`` is the body's degree over the set plus
+     the summation variable (Faulhaber); with ``g = 0`` the range is
+     fixed and the sum counts the body's degree.  The per-axis degree
+     ``d_i`` is the joint degree over ``{x_i}``, the total degree ``D``
+     the joint degree over all parameters;
+   * so the polynomial lies in ``span{y^a : a in A}`` with
+     ``A = {a : a_i <= d_i, sum(a) <= D}``.  ``A`` is a lower set
+     (downward closed), and a lower set of points is unisolvent for
+     the monomials it indexes: a polynomial in that span vanishing on
+     ``A`` is zero.  The grid is therefore ``anchor + r + L∘y`` for
+     every residue class ``r`` and every ``y`` in ``A`` — never more
+     points than the tensor grid of ``L * (d_i + 1)`` values per axis;
    * the ``P`` axis carries the moduli themselves, so it is swept
      exhaustively over ``1 .. max_processors`` with every processor id
      checked at each count.
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -99,29 +109,35 @@ CERT_POINT_BUDGET = 20_000
 # quasi-polynomial structure: degree and congruence period per variable
 # ----------------------------------------------------------------------
 
-def _degree(expr: SymExpr, var: str) -> int:
-    """Structural upper bound on the degree of ``expr`` in ``var``."""
+def _degree(expr: SymExpr, names: FrozenSet[str]) -> int:
+    """Upper bound on the total degree of ``expr`` jointly in ``names``."""
     best = 0
     for mono, _coeff in expr._terms:
         total = 0
         for base, exp in mono:
-            total += exp * _base_degree(base, var)
+            total += exp * _base_degree(base, names)
         best = max(best, total)
     return best
 
 
-def _base_degree(base: object, var: str) -> int:
+def _base_degree(base: object, names: FrozenSet[str]) -> int:
     if isinstance(base, str):
-        return 1 if base == var else 0
+        return 1 if base in names else 0
     if isinstance(base, (Mod, Ge0)):
         return 0
-    if isinstance(base, FloorDiv):
-        return _degree(base.arg, var)
-    if isinstance(base, Pos):
-        return _degree(base.arg, var)
+    if isinstance(base, (FloorDiv, Pos)):
+        return _degree(base.arg, names)
     if isinstance(base, BoundedSum):
-        inner = _degree(base.body, base.var)
-        return _degree(base.body, var) + _degree(base.bound, var) * (inner + 1)
+        outer = _degree(base.bound, names)
+        if outer == 0:
+            # The range does not move with ``names``: every term has at
+            # most the body's degree, and so has their sum.
+            return _degree(base.body, names)
+        # Faulhaber: summing a body of total degree t in ``names`` and
+        # the summation variable over [0, bound) gives total degree
+        # t + 1 in (bound, names), and the bound has degree ``outer``.
+        inner = _degree(base.body, names | frozenset((base.var,)))
+        return outer * (inner + 1)
     raise SymbolicUnsupported(f"unknown atom kind {base!r}")
 
 
@@ -209,11 +225,12 @@ class FormCertificate:
 
     ``verified`` is the verdict; on failure ``failure`` classifies it
     (``"mismatch"``, ``"non-integral"``, ``"budget"``, ``"structure"``)
-    and ``reason`` pins the witness point.  ``degree``/``period`` record
-    the per-parameter interpolation structure the grid was computed
-    from, ``points`` the number of checked grid cells, and ``digest`` a
-    SHA-256 over the forms and the grid specification so a cached
-    certificate can be matched against the artifacts it certifies.
+    and ``reason`` pins the witness point.  ``degree`` (per-axis joint
+    degrees), ``total_degree`` and ``period`` record the interpolation
+    structure the grid was computed from, ``points`` the number of
+    checked grid cells, and ``digest`` a SHA-256 over the forms, the
+    anchor and the processor range so a cached certificate can be
+    matched against the artifacts it certifies.
     """
 
     program: str
@@ -223,6 +240,7 @@ class FormCertificate:
     params: Tuple[str, ...]
     anchor: Tuple[Tuple[str, int], ...]
     degree: Tuple[Tuple[str, int], ...]
+    total_degree: int
     period: Tuple[Tuple[str, int], ...]
     max_processors: int
     points: int
@@ -238,6 +256,7 @@ class FormCertificate:
             "params": list(self.params),
             "anchor": {name: value for name, value in self.anchor},
             "degree": {name: value for name, value in self.degree},
+            "total_degree": self.total_degree,
             "period": {name: value for name, value in self.period},
             "max_processors": self.max_processors,
             "points": self.points,
@@ -252,6 +271,7 @@ def _failed(
     params: Tuple[str, ...],
     anchor: Tuple[Tuple[str, int], ...],
     degree: Tuple[Tuple[str, int], ...],
+    total_degree: int,
     max_processors: int,
     points: int,
     digest: str,
@@ -264,6 +284,7 @@ def _failed(
         params=params,
         anchor=anchor,
         degree=degree,
+        total_degree=total_degree,
         period=(),
         max_processors=max_processors,
         points=points,
@@ -294,15 +315,23 @@ def certify_engine(
     try:
         for name in params:
             degrees[name] = max(
-                (_degree(form, name) for form in engine.forms.values()),
+                (
+                    _degree(form, frozenset((name,)))
+                    for form in engine.forms.values()
+                ),
                 default=0,
             )
+        total_degree = max(
+            (_degree(form, frozenset(params)) for form in engine.forms.values()),
+            default=0,
+        )
     except SymbolicUnsupported as error:
         return _failed(
-            program_name, "structure", str(error), params, anchor, (),
+            program_name, "structure", str(error), params, anchor, (), 0,
             max_processors, 0, "",
         )
     degree = tuple(sorted(degrees.items()))
+    lower = _lower_set([degrees[name] for name in params], total_degree)
 
     digest = hashlib.sha256()
     for field in sorted(engine.forms):
@@ -327,8 +356,8 @@ def certify_engine(
                         f"no finite congruence period in {name!r} at "
                         f"P={processors} (a modulus moves with the "
                         "parameter)",
-                        params, anchor, degree, max_processors, 0,
-                        digest.hexdigest(),
+                        params, anchor, degree, total_degree,
+                        max_processors, 0, digest.hexdigest(),
                     )
                 candidates.append(value)
             period = 1
@@ -336,9 +365,9 @@ def certify_engine(
                 period = period * value // gcd(period, value)
             periods[name] = period
             worst_period[name] = max(worst_period[name], period)
-        cells = processors
+        cells = processors * len(lower)
         for name in params:
-            cells *= periods[name] * (degrees[name] + 1)
+            cells *= periods[name]
         total_cells += cells
         grids.append((processors, periods))
     if total_cells > point_budget:
@@ -346,18 +375,15 @@ def certify_engine(
             program_name, "budget",
             f"certificate grid needs {total_cells} cells "
             f"(budget {point_budget})",
-            params, anchor, degree, max_processors, 0, digest.hexdigest(),
+            params, anchor, degree, total_degree, max_processors, 0,
+            digest.hexdigest(),
         )
 
     period = tuple(sorted(worst_period.items()))
     points = 0
     for processors, periods in grids:
-        axes: List[Tuple[str, range]] = []
-        for name in params:
-            base = int(anchor_env[name])
-            width = periods[name] * (degrees[name] + 1)
-            axes.append((name, range(base, base + width)))
-        for env in _product_envs(anchor_env, axes):
+        steps = [periods[name] for name in params]
+        for env in _grid_envs(anchor_env, anchor, steps, lower):
             for proc in range(processors):
                 points += 1
                 try:
@@ -370,8 +396,9 @@ def certify_engine(
                         f"{_point_text(env, params, processors, proc)}: "
                         f"{error}",
                         params=params, anchor=anchor, degree=degree,
-                        period=period, max_processors=max_processors,
-                        points=points, digest=digest.hexdigest(),
+                        total_degree=total_degree, period=period,
+                        max_processors=max_processors, points=points,
+                        digest=digest.hexdigest(),
                     )
                 reference = engine.base.account(env, processors, proc)
                 if symbolic != reference:
@@ -383,12 +410,14 @@ def certify_engine(
                         f"{_point_text(env, params, processors, proc)}: "
                         f"{symbolic} vs {reference}",
                         params=params, anchor=anchor, degree=degree,
-                        period=period, max_processors=max_processors,
-                        points=points, digest=digest.hexdigest(),
+                        total_degree=total_degree, period=period,
+                        max_processors=max_processors, points=points,
+                        digest=digest.hexdigest(),
                     )
     return FormCertificate(
         program=program_name, verified=True, failure="", reason="",
-        params=params, anchor=anchor, degree=degree, period=period,
+        params=params, anchor=anchor, degree=degree,
+        total_degree=total_degree, period=period,
         max_processors=max_processors, points=points,
         digest=digest.hexdigest(),
     )
@@ -402,20 +431,35 @@ def _point_text(
     return f"{prefix}P={processors}, proc={proc})"
 
 
-def _product_envs(
-    anchor_env: Dict[str, int], axes: List[Tuple[str, range]]
+def _lower_set(degrees: List[int], total: int) -> List[Tuple[int, ...]]:
+    """``{y in N^k : y_i <= degrees[i], sum(y) <= total}``."""
+    return [
+        y
+        for y in product(*(range(degree + 1) for degree in degrees))
+        if sum(y) <= total
+    ]
+
+
+def _grid_envs(
+    anchor_env: Dict[str, int],
+    anchor: Tuple[Tuple[str, int], ...],
+    periods: List[int],
+    lower: List[Tuple[int, ...]],
 ) -> List[Dict[str, int]]:
-    """Tensor-product parameter grid, anchored at the default bindings."""
-    envs: List[Dict[str, int]] = [dict(anchor_env)]
-    for name, values in axes:
-        expanded: List[Dict[str, int]] = []
-        for env in envs:
-            for value in values:
-                child = dict(env)
-                child[name] = value
-                expanded.append(child)
-        envs = expanded
-    return envs
+    """The points ``anchor + r + L∘y`` for every residue class ``r`` and
+    ``y`` in ``lower``, in ascending lexicographic parameter order."""
+    names = [name for name, _ in anchor]
+    points = sorted(
+        tuple(
+            base + residue + period * step
+            for (_, base), residue, period, step in zip(
+                anchor, offset, periods, y
+            )
+        )
+        for offset in product(*(range(period) for period in periods))
+        for y in lower
+    )
+    return [{**anchor_env, **dict(zip(names, point))} for point in points]
 
 
 def certify_node(node: "NodeProgram") -> Optional[FormCertificate]:

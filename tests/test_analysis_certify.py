@@ -20,8 +20,12 @@ import pytest
 from repro.analysis import Severity, analyze_program
 from repro.analysis.cli import _load_input, render_pass_list
 from repro.analysis.forms import (
+    CERT_MAX_PROCS,
     FormCertificate,
     FormsPass,
+    _degree,
+    _grid_envs,
+    _lower_set,
     certify_engine,
     certify_node,
 )
@@ -40,11 +44,23 @@ from repro.analysis.manager import (
 )
 from repro.cli import main
 from repro.codegen.pycodegen import compile_accounting
+from repro.codegen.spmd import generate_spmd
+from repro.core.normalize import access_normalize
 from repro.errors import ReproError
 from repro.fuzz.cli import summarize
 from repro.fuzz.generator import generate_spec
-from repro.fuzz.oracle import FuzzRecord, fuzz_task
-from repro.linalg.sympoly import Mod, SymExpr, const, sym
+from repro.fuzz.oracle import DEFAULT_SCHEDULES, FuzzRecord, fuzz_task
+from repro.linalg.sympoly import (
+    FloorDiv,
+    Ge0,
+    Mod,
+    Pos,
+    SymExpr,
+    bounded_sum,
+    const,
+    pos,
+    sym,
+)
 from repro.numa.simulator import _cached_form
 from repro.numa.symbolic import SymbolicEngine
 from repro.runtime.cache import shared_cache
@@ -119,7 +135,8 @@ class TestShippedFormsAreCertified:
         assert payload["failure"] == ""
         assert set(payload) == {
             "program", "verified", "failure", "reason", "params", "anchor",
-            "degree", "period", "max_processors", "points", "digest",
+            "degree", "total_degree", "period", "max_processors", "points",
+            "digest",
         }
         json.dumps(payload)  # raises if anything is not JSON-serializable
 
@@ -195,6 +212,241 @@ class TestInjectedFormDefects:
         (finding,) = diagnostics
         assert finding.code == "FORM004"
         assert "stray" in finding.message
+
+
+# ----------------------------------------------------------------------
+# the interpolation grid: joint degree and the lower set
+# ----------------------------------------------------------------------
+
+def axis_degree(expr, name):
+    return _degree(expr, frozenset((name,)))
+
+
+def structural_axis_degree(expr, var):
+    """The per-axis rule the joint degree replaced: a ``BoundedSum``
+    counted ``deg(body) + deg(bound) * (1 + inner degree)``."""
+    best = 0
+    for mono, _coeff in expr._terms:
+        total = 0
+        for base, exp in mono:
+            if isinstance(base, str):
+                degree = 1 if base == var else 0
+            elif isinstance(base, (Mod, Ge0)):
+                degree = 0
+            elif isinstance(base, (FloorDiv, Pos)):
+                degree = structural_axis_degree(base.arg, var)
+            else:
+                inner = structural_axis_degree(base.body, base.var)
+                degree = structural_axis_degree(
+                    base.body, var
+                ) + structural_axis_degree(base.bound, var) * (inner + 1)
+            total += exp * degree
+        best = max(best, total)
+    return best
+
+
+def sampled_degree(values):
+    """Degree of the polynomial through equally spaced samples: the order
+    of the last finite difference that does not vanish."""
+    degree = -1
+    order = 0
+    while values:
+        if any(values):
+            degree = order
+        values = [b - a for a, b in zip(values, values[1:])]
+        order += 1
+    return degree
+
+
+def fuzz_engines(index):
+    """The tier-0 engines of the node programs the oracle certifies for
+    fuzz campaign 0's case ``index``."""
+    result = access_normalize(generate_spec(index).build())
+    engines = []
+    for schedule in DEFAULT_SCHEDULES:
+        node = generate_spmd(
+            result.transformed,
+            schedule=schedule,
+            sync_events=result.outer_carried_count,
+        )
+        status = _cached_form(node)
+        if status[0] == "ok":
+            engines.append(status[1])
+    return engines
+
+
+def grid_bounds(forms, params):
+    """Per-axis and total joint degree over a node's forms."""
+    forms = list(forms)
+    degrees = [
+        max((axis_degree(form, name) for form in forms), default=0)
+        for name in params
+    ]
+    total = max(
+        (_degree(form, frozenset(params)) for form in forms), default=0
+    )
+    return degrees, total
+
+
+def falling(name, start, order):
+    """``(x - start)(x - start - 1)...(x - start - order + 1)``."""
+    result = const(1)
+    for step in range(order):
+        result = result * (sym(name) - (start + step))
+    return result
+
+
+class TestJointDegree:
+    N, M, q, r = sym("N"), sym("M"), sym("q"), sym("r")
+
+    def sums(self):
+        """Hand-built sums with the joint degree over ``{N}`` and the
+        degree of their closed form in ``N``."""
+        N, q, r = self.N, self.q, self.r
+        return {
+            # N(N+1)/2: the structural rule gave 3.
+            "triangle": (bounded_sum("q", N, N - q), 2),
+            # The mixed atom the structural rule counted in N and in q.
+            "mixed-pos": (
+                bounded_sum("q", N, pos(1 + N - sym("P") * q)), 2
+            ),
+            # sum_q sum_{r<q} (N - r) = N^3/3 + ...: the structural rule
+            # gave 4.
+            "nested": (
+                bounded_sum("q", N, bounded_sum("r", q, N - r)), 3
+            ),
+        }
+
+    def test_hand_built_sums_get_their_closed_form_degree(self):
+        for label, (expr, expected) in self.sums().items():
+            assert axis_degree(expr, "N") == expected, label
+            # The closed form really has that degree (P = 2: sample one
+            # residue class of the mixed atom's period).
+            values = [
+                expr.evaluate({"N": start, "P": 2})
+                for start in range(1, 24, 2)
+            ]
+            assert sampled_degree(values) == expected, label
+
+    def test_joint_degree_is_tighter_than_the_structural_rule(self):
+        for label, (expr, expected) in self.sums().items():
+            assert structural_axis_degree(expr, "N") > expected, label
+
+    def test_fixed_range_adds_no_degree(self):
+        # sum_{q<M} N*q = N*M(M-1)/2: degree 1 in N, 2 in M, 3 jointly.
+        expr = bounded_sum("q", self.M, self.N * self.q)
+        assert axis_degree(expr, "N") == 1
+        assert axis_degree(expr, "M") == 2
+        assert _degree(expr, frozenset(("M", "N"))) == 3
+
+    def test_atoms_follow_the_leaf_rules(self):
+        N = self.N
+        assert _degree(SymExpr._atom(Mod(N * N, 3)), frozenset("N")) == 0
+        assert _degree(SymExpr._atom(Ge0(N - 5)), frozenset("N")) == 0
+        assert _degree(SymExpr._atom(FloorDiv(N * N, 3)), frozenset("N")) == 2
+        assert _degree(pos(N * self.M - 1), frozenset(("M", "N"))) == 2
+
+    def test_fuzz_case1_iterations_form_has_degree_at_most_4(self):
+        engines = fuzz_engines(1)
+        assert engines
+        for engine in engines:
+            form = engine.forms["iterations"]
+            params = sorted(engine.node.program.params)
+            for name in params:
+                assert axis_degree(form, name) <= 4, name
+            assert _degree(form, frozenset(params)) <= 4
+
+    def test_bounds_never_exceed_the_structural_rule(self):
+        """Over the shipped examples, the corpus and fuzz campaign 0's
+        cases 0-29: every per-axis bound is at most the structural one,
+        so the lower-set grid never has more points than the tensor
+        grid the structural degrees gave."""
+        engines = []
+        for path in all_inputs():
+            context = context_for(path)
+            status = _cached_form(context.node)
+            if status[0] == "ok":
+                engines.append(status[1])
+        for index in range(30):
+            engines.extend(fuzz_engines(index))
+        assert len(engines) > 40
+        for engine in engines:
+            params = tuple(sorted(engine.node.program.params))
+            forms = list(engine.forms.values())
+            degrees, total = grid_bounds(forms, params)
+            tensor = 1
+            for name, degree in zip(params, degrees):
+                structural = max(
+                    structural_axis_degree(form, name) for form in forms
+                )
+                assert degree <= structural, (engine.node.program.name, name)
+                tensor *= structural + 1
+            assert len(_lower_set(degrees, total)) <= tensor
+
+
+class TestLowerSetGrid:
+    def test_lower_set_is_the_capped_simplex(self):
+        lower = _lower_set([2, 3], 3)
+        assert sorted(lower) == sorted(
+            (a, b) for a in range(3) for b in range(4) if a + b <= 3
+        )
+        assert _lower_set([], 5) == [()]
+        assert len(_lower_set([4, 4], 8)) == 25  # the tensor box
+
+    def test_grid_covers_every_residue_class(self):
+        anchor = (("M", 10), ("N", 20))
+        envs = _grid_envs({"M": 10, "N": 20, "x": 1}, anchor, [2, 3],
+                          _lower_set([1, 2], 2))
+        points = [(env["M"], env["N"]) for env in envs]
+        assert points == sorted(set(points))  # distinct, ascending
+        assert len(points) == 2 * 3 * len(_lower_set([1, 2], 2))
+        assert all(env["x"] == 1 for env in envs)
+        for m, n in points:
+            assert 10 <= m < 10 + 2 * 2 and 20 <= n < 20 + 3 * 3
+            assert (m - 10) // 2 + (n - 20) // 3 <= 2
+
+    def mutations(self, engine):
+        """Every monomial in the lower set, as ``(exponent, polynomial,
+        max_processors)``: plain over the whole certificate, and as a
+        falling factorial from the anchor at ``P = 1``.  There every
+        period is 1, so the grid is exactly ``anchor + A`` and the
+        factorial vanishes on all of it but ``anchor + exponent``: a
+        grid one point short of the lower set misses it."""
+        program = engine.node.program
+        params = tuple(sorted(program.params))
+        anchor = program.bound_params(None)
+        degrees, total = grid_bounds(engine.forms.values(), params)
+        lower = _lower_set(degrees, total)
+        assert certify_engine(engine, max_processors=1).points == len(lower)
+        for exponent in lower:
+            monomial, shifted = const(1), const(1)
+            for name, power in zip(params, exponent):
+                for _ in range(power):
+                    monomial = monomial * sym(name)
+                shifted = shifted * falling(name, int(anchor[name]), power)
+            yield exponent, monomial, CERT_MAX_PROCS
+            yield exponent, shifted, 1
+
+    def test_any_monomial_in_the_lower_set_is_caught(self):
+        engines = [
+            SymbolicEngine(gemm_context().node),
+            SymbolicEngine(context_for(os.path.join(EXAMPLES, "syr2k.an")).node),
+            fuzz_engines(1)[0],
+        ]
+        for engine in engines:
+            assert certify_engine(engine).verified
+            original = dict(engine.forms)
+            try:
+                for exponent, poly, procs in self.mutations(engine):
+                    engine.forms["local"] = original["local"] + poly
+                    certificate = certify_engine(
+                        engine, max_processors=procs
+                    )
+                    assert certificate.failure == "mismatch", (
+                        engine.node.program.name, exponent, poly,
+                    )
+            finally:
+                engine.forms.update(original)
 
 
 # ----------------------------------------------------------------------
