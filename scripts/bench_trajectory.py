@@ -2,7 +2,7 @@
 """Benchmark the accounting-tier trajectory on the paper's kernels.
 
 Times the account-mode sweeps behind Figure 4 (GEMM) and Figure 5 (banded
-SYR2K) three times — with the interpreter walk forced (tier 3), with the
+SYR2K) three times — with the interpreter walk forced (the oracle), with the
 symbolic engine forced (tier 0: derive each program's piecewise form
 once, evaluate it per cell), and with automatic tier selection — and
 writes ``BENCH_simulator.json`` with per-config wall-clock, the tier
@@ -52,6 +52,15 @@ measurement of the tree before the certificate grid shrank
 (docs/performance.md gives the command) and is kept as recorded.
 ``--check`` fails if the total points exceed the recorded ``certify``
 value or if a case recorded ``yes`` is no longer ``yes``.
+
+The ``tier_mix`` section records which tier ``auto`` picks for the fuzz
+generator's nests: ``generate_spec(seed)`` for seeds 0-149, normalized,
+under both schedules, one account-mode simulation at P=4 with the
+default parameters each.  It gives the tier histogram and the walk's
+share of the nests.  ``--smoke`` measures the first 50 seeds only, and
+the recorded section keeps that prefix's histogram under ``smoke``.
+``--check`` fails if the walk share at the measured seed count rises
+above the recorded one.
 """
 
 from __future__ import annotations
@@ -134,6 +143,11 @@ TUNE_MAX_VS_PAPER = 1.0005  # exact tie expected; tiny float headroom
 CERTIFY_CAMPAIGN = 0
 CERTIFY_CASES = 12
 
+#: The tier-mix benchmark: fuzz generator seeds per scale and the
+#: processor count (the schedules are the fuzz oracle's).
+TIER_MIX_SEEDS = {"paper": 150, "smoke": 50}
+TIER_MIX_PROCESSORS = 4
+
 #: The auto-vs-walk wall bound in ``--check`` only applies when the
 #: forced walk itself took at least this long: below it (CI smoke
 #: scale) the sweep is dominated by the analytic tiers' one-time
@@ -177,10 +191,10 @@ def _checksum(results):
 def _measure(config, engine, jobs):
     """One timed sweep with an isolated cache (no cross-engine hits).
 
-    The process-wide shared cache (symbolic forms, compiled kernels) is
-    cleared first so every measurement pays its own derivation cost —
-    the forced-symbolic wall clock really is "derive once, then evaluate
-    every cell", not "evaluate forms a previous run derived".
+    The process-wide shared cache (symbolic forms) is cleared first so
+    every measurement pays its own derivation cost — the forced-symbolic
+    wall clock really is "derive once, then evaluate every cell", not
+    "evaluate forms a previous run derived".
     """
     shared_cache().clear()
     nodes = _variants(config)
@@ -357,6 +371,52 @@ def _measure_certify():
     }
 
 
+def _tier_mix_summary(engines, seeds):
+    """Tier histogram and walk share over the first ``seeds`` seeds."""
+    chosen = [engine for per_seed in engines[:seeds] for engine in per_seed]
+    return {
+        "seeds": seeds,
+        "tiers": dict(sorted(Counter(chosen).items())),
+        "walk_share": round(chosen.count("walk") / len(chosen), 4),
+    }
+
+
+def _measure_tier_mix(scale):
+    """The tier ``auto`` picks per fuzz nest, summarized per seed prefix."""
+    from repro.codegen.spmd import generate_spmd
+    from repro.core.normalize import access_normalize
+    from repro.fuzz.generator import generate_spec
+    from repro.fuzz.oracle import DEFAULT_SCHEDULES
+    from repro.numa.simulator import simulate
+
+    shared_cache().clear()
+    seeds = TIER_MIX_SEEDS[scale]
+    engines = []
+    start = time.perf_counter()
+    for seed in range(seeds):
+        result = access_normalize(generate_spec(seed).build())
+        engines.append([
+            simulate(
+                generate_spmd(
+                    result.transformed, schedule=schedule,
+                    sync_events=result.outer_carried_count,
+                ),
+                processors=TIER_MIX_PROCESSORS,
+            ).engine
+            for schedule in DEFAULT_SCHEDULES
+        ])
+    wall = time.perf_counter() - start
+    section = {
+        "processors": TIER_MIX_PROCESSORS,
+        "schedules": list(DEFAULT_SCHEDULES),
+        "wall_s": round(wall, 4),
+        **_tier_mix_summary(engines, seeds),
+    }
+    if scale != "smoke":
+        section["smoke"] = _tier_mix_summary(engines, TIER_MIX_SEEDS["smoke"])
+    return section
+
+
 def run_benchmark(scale, jobs):
     document = {
         "schema": 1,
@@ -421,6 +481,13 @@ def run_benchmark(scale, jobs):
         f"certify: fuzz campaign {certify['campaign']} cases 0-"
         f"{CERTIFY_CASES - 1}: {certify['points']} grid points in "
         f"{certify['certify_s']:.2f}s, verdicts {certify['verdicts']}"
+    )
+    mix = _measure_tier_mix(scale)
+    document["tier_mix"] = mix
+    print(
+        f"tier mix: fuzz seeds 0-{mix['seeds'] - 1} x {mix['schedules']} at "
+        f"P={mix['processors']}: {mix['tiers']}, walk share "
+        f"{mix['walk_share']:.1%} in {mix['wall_s']:.1f}s"
     )
     return document
 
@@ -499,6 +566,26 @@ def check_coverage(document, recorded_path):
                 failures.append(
                     f"certify: fuzz case {index} dropped from yes to {verdict}"
                 )
+    recorded_mix = recorded.get("tier_mix")
+    if recorded_mix is not None:
+        fresh = document["tier_mix"]
+        baseline = next(
+            (
+                entry for entry in (recorded_mix, recorded_mix.get("smoke"))
+                if entry is not None and entry["seeds"] == fresh["seeds"]
+            ),
+            None,
+        )
+        if baseline is None:
+            failures.append(
+                f"tier mix: no recorded histogram over {fresh['seeds']} seeds"
+            )
+        elif fresh["walk_share"] > baseline["walk_share"]:
+            failures.append(
+                f"tier mix: walk share {fresh['walk_share']:.1%} over "
+                f"{fresh['seeds']} seeds rose above the recorded "
+                f"{baseline['walk_share']:.1%}"
+            )
     return failures
 
 
@@ -510,8 +597,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="compare coverage and certification against the recorded "
-        "JSON and fail on regression instead of rewriting it",
+        help="compare coverage, certification and the tier mix against "
+        "the recorded JSON and fail on regression instead of rewriting it",
     )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
@@ -527,7 +614,7 @@ def main(argv=None):
         if failures:
             return 1
         print(
-            f"coverage and certification hold against {args.output}"
+            f"coverage, certification and tier mix hold against {args.output}"
         )
         return 0
 

@@ -8,7 +8,7 @@ surfaces surprising-but-legal outcomes.  Two opt-in passes extend the
 recheck to *derived artifacts*: the symbolic-form verifier certifies the
 tier-0 quasi-polynomial forms against the closed-form engine on a
 finite interpolation grid, and the kernel sanitizer reviews the Python
-text the accounting codegen emits.  See ``docs/analysis.md``.
+text of the generated form evaluator.  See ``docs/analysis.md``.
 """
 
 from repro.analysis.bounds import BoundsPass

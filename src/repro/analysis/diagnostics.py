@@ -72,8 +72,6 @@ CODES: Mapping[str, str] = {
     "KERN001": "loop-invariant computation inside a generated loop (hoistable)",
     "KERN002": "generated kernel assigns a local that is never read",
     "KERN003": "dead branch in a generated kernel (constant or duplicated test)",
-    "KERN004": "kernel ownership test inconsistent with the node program's distributions",
-    "KERN005": "compiled accounting kernel unavailable for this nest (informational)",
     # analyzer plumbing ------------------------------------------------
     "ANA001": "the compilation pipeline failed before analysis could run",
     "ANA002": "an analysis pass crashed (analyzer bug)",

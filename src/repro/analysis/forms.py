@@ -154,19 +154,18 @@ def _modulus_int(modulus: object, procs_name: str, processors: int) -> Optional[
     return None
 
 
-def _collect_periods(
-    expr: SymExpr,
-    var: str,
-    procs_name: str,
-    processors: int,
-    moving: FrozenSet[str],
-    out: List[Optional[int]],
+def _collect_moduli(
+    expr: SymExpr, var: str, moving: FrozenSet[str], out: Set[object]
 ) -> None:
-    """Concrete moduli of atoms that move with ``var`` (``None`` = opaque).
+    """Moduli of atoms that move with ``var`` (``None`` = opaque).
 
-    ``moving`` carries bound variables of enclosing sums whose *bound*
-    moves with ``var``: their iteration space shifts as ``var`` changes,
-    so their atoms' periods fold into the period in ``var`` too.
+    A modulus is kept as it stands — an ``int`` or a ``SymExpr`` — so the
+    walk runs once per (form, parameter) and only :func:`_period`
+    depends on ``P``.  ``None`` records a modulus that itself moves with
+    ``var``: no period exists along that axis.  ``moving`` carries bound
+    variables of enclosing sums whose *bound* moves with ``var``: their
+    iteration space shifts as ``var`` changes, so their atoms' periods
+    fold into the period in ``var`` too.
     """
     names = frozenset((var,)) | moving
     for atom in expr.atoms():
@@ -174,41 +173,36 @@ def _collect_periods(
             inner = moving
             if any(atom.bound.depends_on(name) for name in names):
                 inner = moving | frozenset((atom.var,))
-            _collect_periods(atom.bound, var, procs_name, processors, moving, out)
-            _collect_periods(atom.body, var, procs_name, processors, inner, out)
+            _collect_moduli(atom.bound, var, moving, out)
+            _collect_moduli(atom.body, var, inner, out)
         elif isinstance(atom, (Mod, FloorDiv)):
-            _collect_periods(atom.arg, var, procs_name, processors, moving, out)
+            _collect_moduli(atom.arg, var, moving, out)
             modulus = atom.modulus
             if isinstance(modulus, SymExpr):
-                _collect_periods(
-                    modulus, var, procs_name, processors, moving, out
-                )
+                _collect_moduli(modulus, var, moving, out)
             if any(atom.depends_on(name) for name in names):
-                value = _modulus_int(modulus, procs_name, processors)
                 if isinstance(modulus, SymExpr) and any(
                     modulus.depends_on(name) for name in names
                 ):
-                    value = None  # the modulus itself moves: not periodic
-                out.append(value)
+                    out.add(None)  # the modulus itself moves: not periodic
+                else:
+                    out.add(modulus)
         elif isinstance(atom, (Pos, Ge0)):
-            _collect_periods(atom.arg, var, procs_name, processors, moving, out)
+            _collect_moduli(atom.arg, var, moving, out)
 
 
 def _period(
-    expr: SymExpr, var: str, procs_name: str, processors: int
+    moduli: Set[object], procs_name: str, processors: int
 ) -> Optional[int]:
-    """Congruence period of ``expr`` along ``var`` at a fixed ``P``.
+    """Congruence period of the collected ``moduli`` at a fixed ``P``.
 
     ``None`` when some modulus cannot be settled (it depends on the
     parameter itself, or on a symbol outside ``P``) — the interpolation
     argument then does not apply along this axis.
     """
-    collected: List[Optional[int]] = []
-    _collect_periods(
-        expr, var, procs_name, processors, frozenset(), collected
-    )
     period = 1
-    for value in collected:
+    for modulus in moduli:
+        value = _modulus_int(modulus, procs_name, processors)
         if value is None or value <= 0:
             return None
         period = period * value // gcd(period, value)
@@ -340,29 +334,28 @@ def certify_engine(
     digest.update(repr(anchor).encode("ascii"))
     digest.update(f"procs<={max_processors}".encode("ascii"))
 
-    # One grid per anchor processor count: the periods depend on P.
+    # One grid per anchor processor count: the periods depend on P, the
+    # moduli that set them do not.
+    moduli: Dict[str, Set[object]] = {name: set() for name in params}
+    for name in params:
+        for form in engine.forms.values():
+            _collect_moduli(form, name, frozenset(), moduli[name])
     grids: List[Tuple[int, Dict[str, int]]] = []
     total_cells = 0
     worst_period: Dict[str, int] = {name: 1 for name in params}
     for processors in range(1, max_processors + 1):
         periods: Dict[str, int] = {}
         for name in params:
-            candidates: List[int] = []
-            for form in engine.forms.values():
-                value = _period(form, name, engine.procs_name, processors)
-                if value is None:
-                    return _failed(
-                        program_name, "structure",
-                        f"no finite congruence period in {name!r} at "
-                        f"P={processors} (a modulus moves with the "
-                        "parameter)",
-                        params, anchor, degree, total_degree,
-                        max_processors, 0, digest.hexdigest(),
-                    )
-                candidates.append(value)
-            period = 1
-            for value in candidates:
-                period = period * value // gcd(period, value)
+            period = _period(moduli[name], engine.procs_name, processors)
+            if period is None:
+                return _failed(
+                    program_name, "structure",
+                    f"no finite congruence period in {name!r} at "
+                    f"P={processors} (a modulus moves with the "
+                    "parameter)",
+                    params, anchor, degree, total_degree,
+                    max_processors, 0, digest.hexdigest(),
+                )
             periods[name] = period
             worst_period[name] = max(worst_period[name], period)
         cells = processors * len(lower)

@@ -1,13 +1,12 @@
-"""AST-level sanitizer for generated accounting code (``KERN001``-``KERN005``).
+"""AST-level sanitizer for generated accounting code (``KERN001``-``KERN003``).
 
-Tiers 0 and 2 of the accounting engine answer cells by *executing
-generated Python*: the per-node kernel emitted by
-:class:`repro.codegen.pycodegen._KernelEmitter` and the compiled form
-evaluator emitted by ``repro.linalg.sympoly.compile_account``.  Both ride
-through ``exec``, so nothing reviews the text they produce — a codegen
-regression shows up only as wrong counts (caught dynamically) or as
-silent waste (caught by nobody).  This pass parses the generated source
-back into an AST and checks it like a reviewer would:
+Tier 0 of the accounting engine answers cells by *executing generated
+Python*: the fused form evaluator emitted by
+``repro.linalg.sympoly.compile_account``.  It rides through ``exec``, so
+nothing reviews the text it produces — a codegen regression shows up
+only as wrong counts (caught dynamically) or as silent waste (caught by
+nobody).  This pass parses the generated source back into an AST and
+checks it like a reviewer would:
 
 * ``KERN001`` — an assignment inside a generated loop whose right-hand
   side does not depend on any loop variable: hoistable work executed
@@ -20,16 +19,10 @@ back into an AST and checks it like a reviewer would:
   registers);
 * ``KERN003`` — a dead branch: a constant ``if`` test, or a test
   identical to an enclosing test none of whose operands changed in
-  between;
-* ``KERN004`` — an ownership test whose *kind* (cyclic ``% P == p``
-  congruence vs. blocked interval bounds) does not occur in the node
-  program's distributions: the kernel is checking ownership the program
-  does not have;
-* ``KERN005`` — informational: the nest has no compiled kernel at all
-  (the simulator falls back down the tier ladder).
+  between.
 
 All checks run on source text, so injected-defect tests can sanitize a
-mutated kernel directly through :func:`sanitize_generated_source`.
+mutated evaluator directly through :func:`sanitize_generated_source`.
 """
 
 from __future__ import annotations
@@ -41,11 +34,9 @@ from repro.analysis.diagnostics import Diagnostic, Severity, Span
 
 if TYPE_CHECKING:
     from repro.analysis.manager import AnalysisContext
-    from repro.codegen.spmd import NodeProgram
 
 __all__ = [
     "KernelPass",
-    "expected_ownership",
     "sanitize_generated_source",
 ]
 
@@ -82,15 +73,12 @@ def sanitize_generated_source(
     *,
     artifact: str,
     program: str = "",
-    expected: Optional[Set[str]] = None,
 ) -> List[Diagnostic]:
     """Sanitize one generated-code artifact.
 
-    ``artifact`` labels the span (``"kernel"`` or ``"form:account"``);
-    ``expected`` is the set of ownership-test kinds (``"wrapped"`` /
-    ``"blocked"``) the node program can legitimately need, or ``None``
-    to skip the ownership check (tier-0 form code tests no ownership).
-    Spans carry the generated-source line number in ``statement``.
+    ``artifact`` labels the span (``"form:account"`` for the fused form
+    evaluator).  Spans carry the generated-source line number in
+    ``statement``.
     """
     tree = ast.parse(source)
     diagnostics: List[Diagnostic] = []
@@ -100,8 +88,6 @@ def sanitize_generated_source(
         _check_unused_locals(func, artifact, program, diagnostics)
         _check_loop_invariants(func, artifact, program, diagnostics)
         _check_dead_branches(func, artifact, program, diagnostics)
-        if expected is not None:
-            _check_ownership(func, expected, artifact, program, diagnostics)
     return diagnostics
 
 
@@ -290,99 +276,11 @@ def _check_dead_branches(
 
 
 # ----------------------------------------------------------------------
-# KERN004: ownership tests the program does not call for
-# ----------------------------------------------------------------------
-
-def _observed_ownership(func: ast.FunctionDef) -> Dict[str, int]:
-    """Ownership-test kinds the kernel text performs -> first line."""
-    observed: Dict[str, int] = {}
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Compare)
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
-            and isinstance(node.left, ast.BinOp)
-            and isinstance(node.left.op, ast.Mod)
-            and isinstance(node.left.right, ast.Name)
-            and node.left.right.id == "_P"
-            and isinstance(node.comparators[0], ast.Name)
-            and node.comparators[0].id == "_p"
-        ):
-            observed.setdefault("wrapped", node.lineno)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "_count_congruent":
-                observed.setdefault("wrapped", node.lineno)
-            elif node.func.id == "_count_in_interval":
-                observed.setdefault("blocked", node.lineno)
-        elif isinstance(node, ast.Name) and node.id.startswith(
-            ("_lob_", "_hib_", "_clb_")
-        ):
-            observed.setdefault("blocked", node.lineno)
-    return observed
-
-
-def _check_ownership(
-    func: ast.FunctionDef,
-    expected: Set[str],
-    artifact: str,
-    program: str,
-    diagnostics: List[Diagnostic],
-) -> None:
-    for kind, line in sorted(_observed_ownership(func).items()):
-        if kind in expected:
-            continue
-        diagnostics.append(
-            Diagnostic(
-                "KERN004",
-                Severity.ERROR,
-                f"kernel performs a {kind} ownership test but no accessed "
-                f"array is distributed {kind} in this node program",
-                _span(artifact, program, line),
-            )
-        )
-
-
-def expected_ownership(node: "NodeProgram") -> Set[str]:
-    """Ownership-test kinds ``node``'s distributions can require.
-
-    Mirrors ``_KernelEmitter._ref_kind`` / ``_block_read``: a per-element
-    or per-block ownership test only ever arises from a ``Wrapped`` or
-    ``Blocked`` distribution of an array the nest actually references
-    (whole-array gathers test nothing per element).
-    """
-    from repro.codegen.locality import RefClass
-
-    expected: Set[str] = set()
-    distributions = node.program.distributions
-    for info in node.plan.refs:
-        if info.ref_class in (RefClass.LOCAL, RefClass.COVERED):
-            continue
-        distribution = distributions.get(info.ref.array)
-        if distribution is None or not distribution.distribution_dims():
-            continue
-        kind = type(distribution).__name__
-        if kind in ("Wrapped", "Blocked"):
-            expected.add(kind.lower())
-    for loop in node.nest.loops:
-        for statement in loop.prologue:
-            distribution = distributions.get(statement.array)
-            if distribution is None or not distribution.distribution_dims():
-                continue
-            dims = distribution.distribution_dims()
-            if all(statement.pattern[dim] is None for dim in dims):
-                continue  # whole-array gather: no per-element test
-            kind = type(distribution).__name__
-            if kind in ("Wrapped", "Blocked"):
-                expected.add(kind.lower())
-    return expected
-
-
-# ----------------------------------------------------------------------
 # the pass
 # ----------------------------------------------------------------------
 
 class KernelPass:
-    """Sanitize the generated accounting code (``KERN001``-``KERN005``)."""
+    """Sanitize the generated accounting code (``KERN001``-``KERN003``)."""
 
     name = "kernels"
 
@@ -390,38 +288,13 @@ class KernelPass:
         node = context.node
         if node is None:
             return []
-        from repro.numa.simulator import _cached_form, _cached_kernel
+        from repro.numa.simulator import _cached_form
 
-        diagnostics: List[Diagnostic] = []
-        program_name = node.program.name
-        kernel_status = _cached_kernel(node, False)
-        if kernel_status[0] == "ok":
-            diagnostics.extend(
-                sanitize_generated_source(
-                    kernel_status[1].source,
-                    artifact="kernel",
-                    program=program_name,
-                    expected=expected_ownership(node),
-                )
-            )
-        else:
-            diagnostics.append(
-                Diagnostic(
-                    "KERN005",
-                    Severity.INFO,
-                    f"compiled accounting kernel unavailable for this "
-                    f"nest: {kernel_status[1]}",
-                    Span(program=program_name, reference="kernel"),
-                )
-            )
         form_status = _cached_form(node)
-        if form_status[0] == "ok":
-            diagnostics.extend(
-                sanitize_generated_source(
-                    form_status[1]._fused().source,
-                    artifact="form:account",
-                    program=program_name,
-                    expected=None,
-                )
-            )
-        return diagnostics
+        if form_status[0] != "ok":
+            return []
+        return sanitize_generated_source(
+            form_status[1]._fused().source,
+            artifact="form:account",
+            program=node.program.name,
+        )

@@ -90,8 +90,8 @@ def _kernels_pass() -> AnalysisPass:
 
 #: The pass registry: name -> (description, factory), in execution
 #: order.  ``legality``..``lint`` form the default pipeline; ``forms``
-#: and ``kernels`` verify *derived artifacts* (tier-0 symbolic forms,
-#: generated accounting kernels) and are opt-in via ``--passes`` — they
+#: and ``kernels`` verify *derived artifacts* (tier-0 symbolic forms and
+#: their generated evaluator code) and are opt-in via ``--passes`` — they
 #: compile the artifacts they check, which the default lint run should
 #: not pay for.
 PASS_REGISTRY: Dict[str, Tuple[str, Callable[[], AnalysisPass]]] = {
@@ -117,7 +117,7 @@ PASS_REGISTRY: Dict[str, Tuple[str, Callable[[], AnalysisPass]]] = {
         _forms_pass,
     ),
     "kernels": (
-        "sanitize generated accounting-kernel code (KERN codes)",
+        "sanitize the generated form-evaluator code (KERN codes)",
         _kernels_pass,
     ),
 }

@@ -169,11 +169,11 @@ def add_simulate_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "symbolic", "closed-form", "compiled", "walk"],
+        choices=["auto", "symbolic", "closed-form", "walk"],
         default="auto",
         help="accounting engine tier: auto picks the fastest tier that "
         "handles the nest (all tiers are bit-identical); forcing "
-        "symbolic, closed-form or compiled fails with a clear error when "
+        "symbolic or closed-form fails with a clear error when "
         "the tier cannot handle the nest (see docs/performance.md)",
     )
 

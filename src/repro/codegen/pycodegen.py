@@ -13,10 +13,8 @@ expression with an explicit floor/ceiling division by ``L``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.codegen.locality import RefClass
 from repro.errors import CodegenError
 from repro.ir.affine import AffineExpr
 from repro.ir.loop import LoopNest
@@ -212,510 +210,3 @@ def compile_program(
 
     runner.source = source  # type: ignore[attr-defined]
     return runner
-
-
-# ----------------------------------------------------------------------
-# tier 2 of the accounting engine: the compiled accounting kernel
-# ----------------------------------------------------------------------
-#
-# ``emit_accounting_kernel`` specializes the simulator's account-mode walk
-# (:class:`repro.numa.simulator._ProcWalker`) for one node program:
-# straight-line Python with precomputed integer slopes, hoisted block
-# bounds and read byte counts, the distributed-loop schedule unrolled into
-# a plain ``range``, and the innermost loop collapsed to congruence /
-# interval counting whenever the walk's own analytic summary would fire.
-# It must be *bit-identical* to the interpreter walk on every counter —
-# including the exact ``SimulationError`` messages for non-integral
-# subscripts, guards and alignments — because the fuzz oracle and the tier
-# equivalence tests diff the two.  All internal names carry a ``_``
-# prefix so they cannot collide with loop indices or program parameters
-# (the processor parameter is literally ``p``).
-
-
-class _KernelEmitter:
-    """Builds the accounting-kernel source for one node program."""
-
-    def __init__(self, node, block_cache: bool):
-        self.node = node
-        self.nest = node.nest
-        self.block_cache = block_cache
-        program = node.program
-        self.decls = {decl.name: decl for decl in program.arrays}
-        self.element_bytes = {
-            decl.name: decl.element_bytes for decl in program.arrays
-        }
-        self.distributions = program.distributions
-        self.ref_classes = {
-            (info.ref, info.is_write): info.ref_class
-            for info in node.plan.refs
-        }
-        self.lines: List[str] = []
-        self.temp = 0
-        self.blocked_arrays: List[str] = []  # hoisted block-bound arrays
-        self.read_bytes: List[str] = []  # hoisted byte-count expressions
-        self.gather_arrays: List[str] = []
-
-    # -- small helpers -------------------------------------------------
-    def _fresh(self, stem: str) -> str:
-        self.temp += 1
-        return f"_{stem}{self.temp}"
-
-    def _exact(self, expr: AffineExpr, pad: str, error: str) -> str:
-        """Emit an exact integer evaluation; raise ``error`` if fractional."""
-        den = _denominator(expr)
-        num = _numerator_text(expr, den)
-        if den == 1:
-            return f"({num})"
-        tmp = self._fresh("x")
-        self.lines.append(f"{pad}{tmp} = {num}")
-        self.lines.append(f"{pad}if {tmp} % {den}:")
-        self.lines.append(f"{pad}    raise SimulationError({error!r})")
-        self.lines.append(f"{pad}{tmp} //= {den}")
-        return tmp
-
-    def _hoist_blocked(self, array: str, dim: int) -> str:
-        """Register an array for hoisted blocked ownership bounds."""
-        tag = f"{array}_{dim}"
-        if tag not in self.blocked_arrays:
-            self.blocked_arrays.append(tag)
-        return tag
-
-    def _ref_kind(self, ref, is_write):
-        """Classify one reference the way the walker's charge compiler does."""
-        rc = self.ref_classes.get((ref, is_write), RefClass.CHECK)
-        if rc in (RefClass.LOCAL, RefClass.COVERED):
-            return ("free", None, None)
-        distribution = self.distributions.get(ref.array)
-        if distribution is None or not distribution.distribution_dims():
-            return ("free", None, None)
-        dims = distribution.distribution_dims()
-        kind = type(distribution).__name__
-        if len(dims) != 1 or kind not in ("Wrapped", "Blocked"):
-            raise CodegenError(
-                f"reference {ref} under '{distribution.describe()}' needs "
-                "owner enumeration"
-            )
-        return (
-            "wrapped" if kind == "Wrapped" else "blocked",
-            ref.subscripts[dims[0]],
-            dims[0],
-        )
-
-    # -- statements ----------------------------------------------------
-    def _charge(self, ref, is_write, pad: str) -> None:
-        kind, subscript, dim = self._ref_kind(ref, is_write)
-        if kind == "free":
-            self.lines.append(f"{pad}_c_local += 1")
-            return
-        where = f"subscript '{subscript}' of array {ref.array!r}"
-        value = self._exact(
-            subscript, pad, f"non-integral {where} in {kind} ownership test"
-        )
-        if kind == "wrapped":
-            self.lines.append(f"{pad}if {value} % _P == _p:")
-        else:
-            tag = self._hoist_blocked(ref.array, dim)
-            self.lines.append(
-                f"{pad}if _lob_{tag} <= {value} <= _hib_{tag}:"
-            )
-        self.lines.append(f"{pad}    _c_local += 1")
-        self.lines.append(f"{pad}else:")
-        self.lines.append(f"{pad}    _c_remote += 1")
-
-    def _statement(self, statement: Statement, pad: str) -> None:
-        if isinstance(statement, Assign):
-            self.lines.append(f"{pad}_c_stmts += 1")
-            self._charge(statement.lhs, True, pad)
-            for ref in statement.rhs.references():
-                self._charge(ref, False, pad)
-            return
-        if isinstance(statement, IfThen):
-            conditions = statement.conditions
-            self.lines.append(f"{pad}_c_guards += {len(conditions)}")
-            self._guard_chain(statement, 0, pad)
-            self.lines.append(f"{pad}if _taken:")
-            self._statement(statement.body, pad + "    ")
-            return
-        raise CodegenError(f"cannot emit accounting for {statement!r}")
-
-    def _guard_chain(self, statement: IfThen, k: int, pad: str) -> None:
-        """Short-circuit guard evaluation, one nesting level per condition."""
-        conditions = statement.conditions
-        if k == len(conditions):
-            # Every condition was evaluated without deciding: a conjunction
-            # with all hits is taken, a disjunction with no hits is not.
-            self.lines.append(f"{pad}_taken = {not statement.disjunctive}")
-            return
-        cond = conditions[k]
-        error = f"non-integral value in guard '{cond}'"
-        mod = self._exact(cond.modulus, pad, error)
-        lhs = self._exact(cond.expr, pad, error)
-        rhs = self._exact(cond.target, pad, error)
-        hit = f"{lhs} % {mod} == {rhs} % {mod}"
-        if statement.disjunctive:
-            self.lines.append(f"{pad}if {hit}:")
-            self.lines.append(f"{pad}    _taken = True")
-            self.lines.append(f"{pad}else:")
-            self._guard_chain(statement, k + 1, pad + "    ")
-        else:
-            self.lines.append(f"{pad}if {hit}:")
-            self._guard_chain(statement, k + 1, pad + "    ")
-            self.lines.append(f"{pad}else:")
-            self.lines.append(f"{pad}    _taken = False")
-
-    # -- block reads ---------------------------------------------------
-    def _block_read(self, statement: BlockRead, pad: str) -> None:
-        array = statement.array
-        if array not in self.decls:
-            raise CodegenError(f"array {array!r} has no declared shape")
-        distribution = self.distributions.get(array)
-        if distribution is None or not distribution.distribution_dims():
-            return  # fully local slice: no data movement
-        dims = distribution.distribution_dims()
-        if all(statement.pattern[d] is None for d in dims):
-            self._gather(statement, pad)
-            return
-        kind = type(distribution).__name__
-        if len(dims) != 1 or kind not in ("Wrapped", "Blocked"):
-            raise CodegenError(
-                f"block read of {array!r} under '{distribution.describe()}' "
-                "needs owner enumeration"
-            )
-        index = len(self.read_bytes)
-        factors = [
-            f"_shapes['{array}'][{dim}]"
-            for dim, entry in enumerate(statement.pattern)
-            if entry is None
-        ]
-        elements = " * ".join(factors) if factors else "1"
-        self.read_bytes.append(
-            f"    _nb{index} = ({elements}) * "
-            f"{self.element_bytes.get(array, 8)}"
-        )
-        probe = statement.pattern[dims[0]]
-        value = _int_value_text(probe)
-        if kind == "Wrapped":
-            self.lines.append(f"{pad}if {value} % _P != _p:")
-        else:
-            tag = self._hoist_blocked(array, dims[0])
-            self.lines.append(
-                f"{pad}if not (_lob_{tag} <= {value} <= _hib_{tag}):"
-            )
-        inner = pad + "    "
-        if self.block_cache:
-            entries = ", ".join(
-                "0" if entry is None else _int_value_text(entry)
-                for entry in statement.pattern
-            )
-            comma = "," if len(statement.pattern) == 1 else ""
-            key = self._fresh("k")
-            self.lines.append(f"{inner}{key} = ('{array}', ({entries}{comma}))")
-            self.lines.append(f"{inner}if {key} not in _cache:")
-            inner += "    "
-            self.lines.append(f"{inner}_cache.add({key})")
-        self.lines.append(f"{inner}_c_bt += 1")
-        self.lines.append(f"{inner}_c_bb += _nb{index}")
-
-    def _gather(self, statement: BlockRead, pad: str) -> None:
-        g = len(self.gather_arrays)
-        self.gather_arrays.append(statement.array)
-        test = f"_gr{g} > 0"
-        inner = pad + "    "
-        if self.block_cache:
-            self.lines.append(
-                f"{pad}if {test} and ('{statement.array}', 'gather') "
-                "not in _cache:"
-            )
-            self.lines.append(
-                f"{inner}_cache.add(('{statement.array}', 'gather'))"
-            )
-        else:
-            self.lines.append(f"{pad}if {test}:")
-        self.lines.append(f"{inner}_c_bt += _gm{g}")
-        self.lines.append(f"{inner}_c_bb += _gb{g}")
-
-    # -- loops ---------------------------------------------------------
-    def _bounds(self, loop, pad: str, level: int) -> Tuple[str, str]:
-        lowers = [_ceil_text(e) for e in loop.lower]
-        uppers = [_floor_text(e) for e in loop.upper]
-        low = lowers[0] if len(lowers) == 1 else "max(" + ", ".join(lowers) + ")"
-        high = uppers[0] if len(uppers) == 1 else "min(" + ", ".join(uppers) + ")"
-        first = f"_first{level}"
-        hi = f"_hi{level}"
-        self.lines.append(f"{pad}{first} = {low}")
-        self.lines.append(f"{pad}{hi} = {high}")
-        if loop.align is not None:
-            offset = self._exact(
-                loop.align, pad, "alignment expression is not integral"
-            )
-            self.lines.append(
-                f"{pad}{first} = {first} + "
-                f"(({offset} - {first}) % {loop.step})"
-            )
-        return first, hi
-
-    def _level(self, level: int, pad: str) -> None:
-        nest = self.nest
-        loop = nest.loops[level]
-        if level == nest.depth - 1 and self._summary_plan is not None:
-            self._innermost_summary(level, pad)
-            return
-        first, hi = self._bounds(loop, pad, level)
-        index = loop.index
-        step = loop.step
-        if level > 0 or self.node.schedule == "all":
-            self.lines.append(
-                f"{pad}for {index} in range({first}, {hi} + 1, {step}):"
-            )
-            body_pad = pad + "    "
-        elif self.node.schedule == "wrapped":
-            if step == 1:
-                self.lines.append(
-                    f"{pad}if {first} <= {hi}:"
-                )
-                self.lines.append(
-                    f"{pad}    {first} += (_p - {first}) % _P"
-                )
-                self.lines.append(
-                    f"{pad}for {index} in range({first}, {hi} + 1, _P):"
-                )
-            else:
-                self.lines.append(
-                    f"{pad}for {index} in range("
-                    f"{first} + {step} * _p, {hi} + 1, {step} * _P):"
-                )
-            body_pad = pad + "    "
-        else:  # blocked
-            self.lines.append(f"{pad}if {first} <= {hi}:")
-            pad += "    "
-            self.lines.append(
-                f"{pad}_trips{level} = ({hi} - {first}) // {step} + 1"
-            )
-            self.lines.append(
-                f"{pad}_blkq{level} = -(-_trips{level} // _P)"
-            )
-            self.lines.append(
-                f"{pad}for _q{level} in range(_p * _blkq{level}, "
-                f"min(_trips{level}, (_p + 1) * _blkq{level})):"
-            )
-            body_pad = pad + "    "
-            self.lines.append(
-                f"{body_pad}{index} = {first} + {step} * _q{level}"
-            )
-        if level == 0 and self.node.sync_per_outer_iteration:
-            self.lines.append(
-                f"{body_pad}_c_syncs += {self.node.sync_per_outer_iteration}"
-            )
-        for statement in loop.prologue:
-            self._block_read(statement, body_pad)
-        if level == nest.depth - 1:
-            self.lines.append(f"{body_pad}_c_iters += 1")
-            for statement in nest.body:
-                self._statement(statement, body_pad)
-        else:
-            self._level(level + 1, body_pad)
-
-    # -- analytic innermost summary ------------------------------------
-    def _compile_summary_plan(self):
-        """Mirror the walker's ``analytic_inner`` eligibility test."""
-        nest = self.nest
-        if nest.depth < 2 or nest.loops[-1].prologue:
-            return None
-        if not all(isinstance(s, Assign) for s in nest.body):
-            return None
-        index = nest.loops[-1].index
-        plan = []
-        for statement in nest.body:
-            for ref, is_write in (
-                [(statement.lhs, True)]
-                + [(r, False) for r in statement.rhs.references()]
-            ):
-                try:
-                    kind, subscript, dim = self._ref_kind(ref, is_write)
-                except CodegenError:
-                    return None
-                if kind == "free":
-                    plan.append(("free", 0, None, None, None))
-                    continue
-                slope = subscript.coeff(index)
-                if slope.denominator != 1:
-                    return None
-                rest = subscript - slope * AffineExpr.var(index)
-                plan.append((kind, int(slope), rest, ref.array, dim))
-        return plan
-
-    def _innermost_summary(self, level: int, pad: str) -> None:
-        """Collapse the innermost loop exactly like the walk's summary.
-
-        When a remainder expression is fractional the summary is skipped at
-        run time and the loop falls back to plain enumeration — the same
-        behavior (and the same error messages, raised from the per-access
-        charges) as the interpreter walk.
-        """
-        loop = self.nest.loops[level]
-        first, hi = self._bounds(loop, pad, level)
-        step = loop.step
-        self.lines.append(f"{pad}if {first} <= {hi}:")
-        pad += "    "
-        trips = f"_trips{level}"
-        self.lines.append(f"{pad}{trips} = ({hi} - {first}) // {step} + 1")
-        rests = []
-        fallback = False
-        checks = []
-        for k, (kind, slope, rest, array, dim) in enumerate(self._summary_plan):
-            if kind == "free":
-                rests.append(None)
-                continue
-            den = _denominator(rest)
-            num = _numerator_text(rest, den)
-            if den == 1:
-                rests.append(f"({num})")
-                continue
-            name = f"_rest{level}_{k}"
-            self.lines.append(f"{pad}{name} = {num}")
-            checks.append(f"{name} % {den} == 0")
-            rests.append(f"({name} // {den})")
-            fallback = True
-        if fallback:
-            self.lines.append(f"{pad}if {' and '.join(checks)}:")
-            summary_pad = pad + "    "
-        else:
-            summary_pad = pad
-        self.lines.append(f"{summary_pad}_c_iters += {trips}")
-        self.lines.append(
-            f"{summary_pad}_c_stmts += {trips} * {len(self.nest.body)}"
-        )
-        for k, (kind, slope, rest, array, dim) in enumerate(self._summary_plan):
-            if kind == "free":
-                self.lines.append(f"{summary_pad}_c_local += {trips}")
-                continue
-            n = f"_n{level}_{k}"
-            if kind == "wrapped":
-                self.lines.append(
-                    f"{summary_pad}{n} = _count_congruent({slope}, {rests[k]}, "
-                    f"{first}, {step}, {trips}, _P, _p)"
-                )
-            else:
-                tag = self._hoist_blocked(array, dim)
-                self.lines.append(
-                    f"{summary_pad}{n} = _count_in_interval({slope}, "
-                    f"{rests[k]}, {first}, {step}, {trips}, _lob_{tag}, "
-                    f"_clb_{tag})"
-                )
-            self.lines.append(f"{summary_pad}_c_local += {n}")
-            self.lines.append(f"{summary_pad}_c_remote += {trips} - {n}")
-        if fallback:
-            self.lines.append(f"{pad}else:")
-            body_pad = pad + "    "
-            self.lines.append(
-                f"{body_pad}for {loop.index} in range("
-                f"{first}, {hi} + 1, {step}):"
-            )
-            body_pad += "    "
-            self.lines.append(f"{body_pad}_c_iters += 1")
-            for statement in self.nest.body:
-                self._statement(statement, body_pad)
-
-    # -- top level -----------------------------------------------------
-    def emit(self, function_name: str) -> str:
-        nest = self.nest
-        if nest.depth == 0:
-            raise CodegenError("cannot compile an empty loop nest")
-        if self.node.schedule not in ("wrapped", "blocked", "all"):
-            raise CodegenError(f"unknown schedule {self.node.schedule!r}")
-        self._summary_plan = self._compile_summary_plan()
-        header = [
-            f"def {function_name}(_env, _P, _p, _shapes, _gathers, _cache):",
-            '    """Generated by repro.codegen.pycodegen; do not edit."""',
-            "    _c_local = _c_remote = _c_bt = _c_bb = 0",
-            "    _c_guards = _c_stmts = _c_iters = _c_syncs = 0",
-        ]
-        free = set(nest.free_variables())
-        for statement in nest.body:
-            _collect_params(statement, free)
-        for loop in nest.loops:
-            for statement in loop.prologue:
-                _collect_params(statement, free)
-        free -= set(nest.indices)
-        binds = [f"    {name} = _env['{name}']" for name in sorted(free)]
-
-        self.lines = []
-        self._level(0, "    ")
-        body = self.lines
-        self.lines = []  # hoists emitted during body generation go first
-
-        gathers = [
-            f"    _gm{g}, _gb{g}, _gr{g} = _gathers[{g}]"
-            for g in range(len(self.gather_arrays))
-        ]
-        hoists = []
-        for tag in self.blocked_arrays:
-            array, _, dim = tag.rpartition("_")
-            hoists.append(
-                f"    _blk_{tag} = -(-_shapes['{array}'][{dim}] // _P)"
-            )
-            hoists.append(f"    _lob_{tag} = _p * _blk_{tag}")
-            hoists.append(f"    _hib_{tag} = _lob_{tag} + _blk_{tag} - 1")
-            hoists.append(
-                f"    _clb_{tag} = min(_hib_{tag}, "
-                f"_shapes['{array}'][{dim}] - 1)"
-            )
-        lines = (
-            header + binds + gathers + self.read_bytes + hoists + body
-            + [
-                "    return (_c_local, _c_remote, _c_bt, _c_bb,",
-                "            _c_guards, _c_stmts, _c_iters, _c_syncs)",
-            ]
-        )
-        return "\n".join(lines) + "\n"
-
-
-def emit_accounting_kernel(
-    node, *, block_cache: bool = False, function_name: str = "account"
-) -> str:
-    """Emit the tier-2 accounting kernel for one node program.
-
-    The generated function has the signature
-    ``account(_env, _P, _p, _shapes, _gathers, _cache)`` and returns the
-    8-tuple ``(local, remote, block_transfers, block_bytes, guards,
-    statements, iterations, syncs)`` in
-    :class:`~repro.numa.simulator.AccessCounts` field order.  ``_gathers``
-    supplies per-processor ``(messages, bytes, remote_elements)`` triples
-    for each whole-array gather, aligned with the ``gather_arrays``
-    attribute of :func:`compile_accounting`; ``_cache`` is the
-    per-processor block cache set (ignored when the kernel was emitted
-    with ``block_cache=False``).
-
-    Raises :class:`~repro.errors.CodegenError` for nests the kernel cannot
-    specialize (owner enumeration under exotic distributions, unknown
-    statement forms) — the simulator then falls back to the walk.
-    """
-    return _KernelEmitter(node, block_cache).emit(function_name)
-
-
-def compile_accounting(node, *, block_cache: bool = False):
-    """Compile the tier-2 accounting kernel to a callable.
-
-    The callable carries ``source`` (the generated text) and
-    ``gather_arrays`` (array names of whole-array gathers, in the order
-    the kernel's ``_gathers`` argument expects their per-processor
-    ``(messages, bytes, remote_elements)`` triples).
-    """
-    from repro.errors import SimulationError
-    from repro.linalg.progression import count_congruent, count_in_interval
-
-    emitter = _KernelEmitter(node, block_cache)
-    source = emitter.emit("account")
-    namespace: Dict = {
-        "SimulationError": SimulationError,
-        "_count_congruent": count_congruent,
-        "_count_in_interval": count_in_interval,
-    }
-    exec(
-        compile(source, f"<accounting {node.program.name}>", "exec"),
-        namespace,
-    )
-    kernel = namespace["account"]
-    kernel.source = source
-    kernel.gather_arrays = tuple(emitter.gather_arrays)
-    return kernel

@@ -17,9 +17,8 @@ For one program spec, runs the full pipeline (``core.access_normalize`` →
    per-iteration access count times the iteration count (every access is
    charged exactly once), iteration/statement totals match the sequential
    interpreter, and a single processor sees no remote traffic at all;
-5. **Tier equivalence** — the symbolic, closed-form, and compiled
-   accounting engines,
-   wherever they accept the nest, reproduce the interpreter walk's
+5. **Tier equivalence** — the symbolic and closed-form accounting
+   engines, wherever they accept the nest, reproduce the interpreter walk's
    per-processor :class:`AccessCounts` bit for bit.  A disagreement is
    reported with its own status, ``"tier-mismatch"``, because it is an
    engine bug rather than a semantics bug;
@@ -284,7 +283,7 @@ def check_program(
                 walk = simulate(node, processors=processors, engine="walk")
                 for tier_name, tier_outcome in (("auto", outcome),) + tuple(
                     (forced, _forced_simulate(node, processors, forced))
-                    for forced in ("symbolic", "closed-form", "compiled")
+                    for forced in ("symbolic", "closed-form")
                 ):
                     if tier_outcome is None:
                         continue  # forced tier rejected the nest: fine

@@ -40,7 +40,7 @@ The engine is *bit-identical* to the interpreter walk on every counter for
 programs inside its domain and raises :class:`ClosedFormUnsupported` at
 build time otherwise (guarded bodies, block-cyclic or multi-dimensional
 distributions, rational bounds, block caching), letting the simulator fall
-back to tier 2 (the compiled kernel) or tier 3 (the walk).  Like the
+back to the walk.  Like the
 interpreter's analytic path, ownership is computed from subscript values
 directly, so out-of-range accesses that would make the walk's
 ``Distribution.owner`` raise are outside the shared domain (the static

@@ -95,9 +95,10 @@ class SimulationResult:
     machine: MachineConfig
     per_proc: Tuple[ProcessorResult, ...]
     remote_multiplier: float = 1.0
-    #: Which accounting engine produced the counts: ``closed-form``
-    #: (tier 1), ``compiled`` (tier 2) or ``walk`` (tier 3).  All three
-    #: are bit-identical on every count; the tier only affects speed.
+    #: Which accounting engine produced the counts: ``symbolic``
+    #: (tier 0), ``closed-form`` (tier 1) or ``walk`` (the interpreter
+    #: walk).  All are bit-identical on every count; the tier only
+    #: affects speed.
     engine: str = "walk"
 
     @property
@@ -771,7 +772,7 @@ def _scheduled_values(
 
 
 #: Engine choices accepted by :func:`simulate` (and ``--engine``).
-ENGINES = ("auto", "symbolic", "closed-form", "compiled", "walk")
+ENGINES = ("auto", "symbolic", "closed-form", "walk")
 
 #: Auto tier selection demotes a derivable symbolic form to the next
 #: tier when its estimated per-processor evaluation cost (loop ops, see
@@ -821,56 +822,6 @@ def _cached_form(node: NodeProgram):
     return shared_cache().form(key, factory)
 
 
-def _cached_kernel(node: NodeProgram, block_cache: bool):
-    """The tier-2 accounting kernel for ``node``, compiled at most once.
-
-    Returns ``("ok", kernel)`` or ``("error", CodegenError)``; both
-    outcomes are memoized in the process-wide
-    :class:`~repro.runtime.cache.SimulationCache` keyed by the node
-    fingerprint, so a sweep compiles each distinct node program once.
-    """
-    from repro.codegen.pycodegen import compile_accounting
-    from repro.errors import CodegenError
-    from repro.runtime.cache import node_fingerprint, shared_cache
-
-    key = node_fingerprint(node) + f"|kernel|bc={int(bool(block_cache))}"
-
-    def factory():
-        try:
-            return ("ok", compile_accounting(node, block_cache=block_cache))
-        except CodegenError as error:
-            return ("error", error)
-
-    return shared_cache().kernel(key, factory)
-
-
-def _run_kernel(
-    kernel, node: NodeProgram, env: Dict[str, int], processors: int,
-    proc: int, block_cache: bool,
-) -> AccessCounts:
-    """Run the tier-2 kernel for one processor."""
-    from repro.numa.counting import owned_elements
-
-    program = node.program
-    shapes = {decl.name: decl.shape(env) for decl in program.arrays}
-    gathers = []
-    for array in kernel.gather_arrays:
-        shape = shapes[array]
-        total = 1
-        for extent in shape:
-            total *= extent
-        distribution = program.distributions[array]
-        remote = total - owned_elements(distribution, shape, processors, proc)
-        element_bytes = next(
-            (d.element_bytes for d in program.arrays if d.name == array), 8
-        )
-        gathers.append(
-            (min(processors - 1, remote), remote * element_bytes, remote)
-        )
-    cache = set() if block_cache else None
-    return AccessCounts(*kernel(env, processors, proc, shapes, gathers, cache))
-
-
 def simulate(
     node: NodeProgram,
     *,
@@ -897,11 +848,10 @@ def simulate(
     fastest tier that can handle the nest — the symbolic per-program form
     (:mod:`repro.numa.symbolic`, derived once per node program and then
     evaluated per cell), the closed-form multi-level engine
-    (:mod:`repro.numa.counting`), the compiled accounting kernel
-    (:func:`repro.codegen.pycodegen.compile_accounting`), or the
-    interpreter walk.  Forcing ``symbolic``, ``closed-form`` or
-    ``compiled`` raises a :class:`~repro.errors.SimulationError` when that
-    tier cannot handle the nest; all tiers are bit-identical on every
+    (:mod:`repro.numa.counting`), or the interpreter walk, which alone
+    models the block cache.  Forcing ``symbolic`` or ``closed-form``
+    raises a :class:`~repro.errors.SimulationError` when that tier cannot
+    handle the nest; all tiers are bit-identical on every
     count (the tier equivalence tests and the fuzz oracle enforce this),
     so ``auto`` never changes results, only speed.  The chosen tier is
     reported as ``SimulationResult.engine``.
@@ -915,7 +865,7 @@ def simulate(
         raise SimulationError(f"unknown mode {mode!r}")
     if mode == "execute" and arrays is None:
         raise SimulationError("execute mode requires arrays")
-    if mode != "account" and engine in ("symbolic", "closed-form", "compiled"):
+    if mode != "account" and engine in ("symbolic", "closed-form"):
         raise SimulationError(
             f"engine {engine!r} only supports account mode; "
             "execute mode always uses the walk engine"
@@ -926,13 +876,12 @@ def simulate(
 
     symbolic = None
     closed = None
-    kernel = None
     chosen = "walk"
     if mode == "account" and engine != "walk":
         if block_cache and engine in ("symbolic", "closed-form"):
             raise SimulationError(
                 f"{engine} engine does not model the block cache; "
-                "use the compiled or walk engine"
+                "use the walk engine"
             )
         if not block_cache and engine in ("auto", "symbolic"):
             status, payload = _cached_form(node)
@@ -966,17 +915,6 @@ def simulate(
                     raise SimulationError(
                         f"closed-form engine cannot handle this nest: {error}"
                     )
-        if symbolic is None and closed is None and engine in (
-            "auto", "compiled"
-        ):
-            status, payload = _cached_kernel(node, block_cache)
-            if status == "ok":
-                kernel = payload
-                chosen = "compiled"
-            elif engine == "compiled":
-                raise SimulationError(
-                    f"compiled engine cannot handle this nest: {payload}"
-                )
 
     per_proc: List[ProcessorResult] = []
     all_counts: List[AccessCounts] = []
@@ -988,10 +926,6 @@ def simulate(
             all_counts.append(symbolic.account(env, processors, proc))
         elif closed is not None:
             all_counts.append(closed.account(env, processors, proc))
-        elif kernel is not None:
-            all_counts.append(
-                _run_kernel(kernel, node, env, processors, proc, block_cache)
-            )
         else:
             walker = _ProcWalker(
                 node, env, processors, proc, mode, arrays,

@@ -115,9 +115,6 @@ class SimulationCache:
     metrics sink, and the simulation simply re-runs.
     """
 
-    #: Cap on memoized accounting kernels (see :meth:`kernel`).
-    KERNEL_MAX_ENTRIES = 512
-
     #: Cap on memoized symbolic engines (see :meth:`form`).  Forms are
     #: per *program*, not per cell, so a handful covers a whole report.
     FORM_MAX_ENTRIES = 128
@@ -132,10 +129,7 @@ class SimulationCache:
         self.store_dir = store_dir
         self.disk_max_entries = disk_max_entries
         self._memory: "OrderedDict[str, SimulationResult]" = OrderedDict()
-        self._kernels: "OrderedDict[str, object]" = OrderedDict()
         self._forms: "OrderedDict[str, object]" = OrderedDict()
-        self.kernel_compiles = 0
-        self.kernel_hits = 0
         self.form_derives = 0
         self.form_hits = 0
         if store_dir:
@@ -236,36 +230,18 @@ class SimulationCache:
             except OSError:
                 pass
 
-    def kernel(self, key: str, factory):
-        """Memoize a compiled accounting kernel (memory-only, LRU).
-
-        ``factory`` runs at most once per ``key``; its return value —
-        whatever shape the caller uses, e.g. the simulator's
-        ``("ok", kernel)`` / ``("error", exc)`` pair, so compilation
-        *failures* are also remembered — is stored and returned on every
-        later call.  Kernels are code objects: they are never pickled to
-        the disk store and are cheap to rebuild after a restart.
-        """
-        if key in self._kernels:
-            self._kernels.move_to_end(key)
-            self.kernel_hits += 1
-            return self._kernels[key]
-        value = factory()
-        self._kernels[key] = value
-        self.kernel_compiles += 1
-        while len(self._kernels) > self.KERNEL_MAX_ENTRIES:
-            self._kernels.popitem(last=False)
-        return value
-
     def form(self, key: str, factory):
         """Memoize a symbolic accounting engine (memory-only, LRU).
 
-        Like :meth:`kernel`, but for the tier-0 *symbolic form* of a node
-        program: the key covers only the program fingerprint — never the
-        cell's ``(P, params)`` — because the derived form is a function of
-        those.  One derivation answers every cell of a sweep.  Failures
-        (nests outside the symbolic fragment) are remembered too, so a
-        sweep probes each unsupported program once.
+        ``factory`` runs at most once per ``key``; its return value (the
+        simulator's ``("ok", engine)`` / ``("error", reason)`` pair) is
+        stored and returned on every later call.  The key covers only the
+        program fingerprint — never the cell's ``(P, params)`` — because
+        the derived form is a function of those.  One derivation answers
+        every cell of a sweep.  Failures (nests outside the symbolic
+        fragment) are remembered too, so a sweep probes each unsupported
+        program once.  Engines hold generated code: they are never pickled
+        to the disk store.
 
         Callers caching derivation *products* (the engine itself, its
         certificates) must suffix their key with
@@ -288,7 +264,6 @@ class SimulationCache:
     def clear(self) -> None:
         """Drop the in-memory layer (disk entries are kept)."""
         self._memory.clear()
-        self._kernels.clear()
         self._forms.clear()
 
     def _remember(self, key: str, result: SimulationResult) -> None:

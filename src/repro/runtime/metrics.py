@@ -7,7 +7,7 @@ enough to thread through every sweep; ``--profile`` on the CLI and on
 ``python -m repro.bench.report`` prints the accumulated report.
 
 The sweep engine also records which accounting tier served each freshly
-simulated cell as ``sim.tier.closed_form`` / ``sim.tier.compiled`` /
+simulated cell as ``sim.tier.symbolic`` / ``sim.tier.closed_form`` /
 ``sim.tier.walk`` counters (see ``docs/performance.md``); like every
 counter they flow through :meth:`Metrics.to_dict`/:meth:`Metrics.merge`
 into ``repro simulate --profile`` output and the service's ``/metricsz``.

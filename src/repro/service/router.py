@@ -7,7 +7,7 @@ of its payload, the serving-side analogue of the
 :func:`~repro.runtime.cache.cell_key` fingerprints the simulation cache
 uses — and consistent-hashed onto one of N replica daemons, so identical
 compiles and simulates always land on the replica whose in-memory
-caches (simulation LRU, compiled kernels, symbolic forms) are already
+caches (simulation LRU, symbolic forms) are already
 warm for that program.  This is the paper's a-priori canonicalization
 argument applied to serving: normalize the request first, and identical
 work converges on the same place.

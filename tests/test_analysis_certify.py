@@ -6,14 +6,16 @@ Three layers of guarantees:
   :class:`~repro.analysis.forms.FormCertificate`;
 * injected defects are caught — a mutated form coefficient trips the
   certificate (FORM005), a hand-built unsimplified atom trips the
-  well-formedness lint (FORM001), and a mutated kernel guard trips the
-  sanitizer (KERN003/KERN004) at the right source line;
+  well-formedness lint (FORM001), and a mutated guard in the generated
+  form evaluator trips the sanitizer (KERN003) at the right source line;
 * the pass registry, ``--passes``/``--list-passes`` CLI surface, and the
   fuzz oracle's ``certified`` verdict behave as documented.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,11 +31,7 @@ from repro.analysis.forms import (
     certify_engine,
     certify_node,
 )
-from repro.analysis.kernels import (
-    KernelPass,
-    expected_ownership,
-    sanitize_generated_source,
-)
+from repro.analysis.kernels import KernelPass, sanitize_generated_source
 from repro.analysis.manager import (
     DEFAULT_PASS_NAMES,
     PASS_REGISTRY,
@@ -43,7 +41,6 @@ from repro.analysis.manager import (
     resolve_passes,
 )
 from repro.cli import main
-from repro.codegen.pycodegen import compile_accounting
 from repro.codegen.spmd import generate_spmd
 from repro.core.normalize import access_normalize
 from repro.errors import ReproError
@@ -58,6 +55,7 @@ from repro.linalg.sympoly import (
     SymExpr,
     bounded_sum,
     const,
+    floordiv,
     pos,
     sym,
 )
@@ -71,6 +69,10 @@ CORPUS = os.path.join(REPO_ROOT, "tests", "corpus")
 GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "golden_analysis_certify.json",
+)
+GOLDEN_CERTIFICATES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "golden_certificates.json",
 )
 
 
@@ -142,8 +144,7 @@ class TestShippedFormsAreCertified:
 
     def test_kernel_pass_never_errors_on_shipped_inputs(self):
         """The sanitizer may warn about real inefficiencies, but an ERROR
-        (ownership inconsistent with the distributions) on shipped code
-        would be a codegen bug."""
+        on shipped code would be a codegen bug."""
         for path in all_inputs():
             context = context_for(path)
             for diagnostic in KernelPass().run(context):
@@ -449,6 +450,70 @@ class TestLowerSetGrid:
                 engine.forms.update(original)
 
 
+#: Certificates of fuzz campaign 0 cases 0-3 and of the Figure 4/5
+#: variants at a reduced size, in a fresh interpreter in this order (term
+#: order, and so the digest, follows the atoms' first-sight numbering).
+_CERTIFICATES_SCRIPT = """
+import json
+from repro.analysis.forms import certify_engine
+from repro.bench import gemm_variants, syr2k_variants
+from repro.codegen.spmd import generate_spmd
+from repro.core.normalize import access_normalize
+from repro.fuzz.generator import generate_spec
+from repro.fuzz.oracle import DEFAULT_SCHEDULES
+from repro.numa.symbolic import SymbolicEngine, SymbolicUnsupported
+
+certificates = {}
+for index in range(4):
+    result = access_normalize(generate_spec(index).build())
+    for schedule in DEFAULT_SCHEDULES:
+        node = generate_spmd(
+            result.transformed, schedule=schedule,
+            sync_events=result.outer_carried_count,
+        )
+        try:
+            engine = SymbolicEngine(node)
+        except SymbolicUnsupported:
+            continue
+        key = f"fuzz0-{index}-{schedule}"
+        certificates[key] = certify_engine(engine).to_dict()
+for name, node in {**gemm_variants(24), **syr2k_variants(24, 6)}.items():
+    certificates[name] = certify_engine(SymbolicEngine(node)).to_dict()
+print(json.dumps(certificates))
+"""
+
+
+class TestPeriods:
+    """The moduli behind each congruence period are collected once per
+    (form, parameter) and only evaluated per ``P``."""
+
+    def test_certificates_match_the_recorded_ones(self):
+        # Recorded before the moduli were collected once per form: grids,
+        # periods and digests must not move.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        output = subprocess.run(
+            [sys.executable, "-c", _CERTIFICATES_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+            cwd=REPO_ROOT,
+        ).stdout
+        with open(GOLDEN_CERTIFICATES, encoding="utf-8") as handle:
+            assert json.loads(output) == json.load(handle)
+
+    def test_modulus_moving_with_the_parameter_has_no_period(self):
+        engine = SymbolicEngine(gemm_context().node)
+        engine.forms["local"] = engine.forms["local"] + floordiv(
+            sym("N"), sym("N") + const(1)
+        )
+        certificate = certify_engine(engine)
+        assert certificate.failure == "structure"
+        assert certificate.reason == (
+            "no finite congruence period in 'N' at P=1 "
+            "(a modulus moves with the parameter)"
+        )
+        assert certificate.points == 0
+
+
 # ----------------------------------------------------------------------
 # injected kernel defects
 # ----------------------------------------------------------------------
@@ -468,20 +533,10 @@ def account(_env, _P, _p, _shapes, _gathers, _cache):
 
 
 class TestInjectedKernelDefects:
-    def test_generated_kernel_baseline_has_no_errors(self):
-        context = gemm_context()
-        kernel = compile_accounting(context.node)
-        findings = sanitize_generated_source(
-            kernel.source,
-            artifact="kernel",
-            program="gemm",
-            expected=expected_ownership(context.node),
-        )
-        assert all(d.severity < Severity.ERROR for d in findings)
-
     def test_mutated_guard_to_constant_is_kern003(self):
-        context = gemm_context()
-        source = compile_accounting(context.node).source
+        status, engine = _cached_form(gemm_context().node)
+        assert status == "ok"
+        source = engine._fused().source
         lines = source.splitlines()
         guard_index = next(
             index for index, line in enumerate(lines)
@@ -491,32 +546,12 @@ class TestInjectedKernelDefects:
                                     - len(lines[guard_index].lstrip())]
         lines[guard_index] = f"{indent}if True:"
         findings = sanitize_generated_source(
-            "\n".join(lines), artifact="kernel", program="gemm"
+            "\n".join(lines), artifact="form:account", program="gemm"
         )
         flagged = [d for d in findings if d.code == "KERN003"]
         assert flagged, [d.format() for d in findings]
         assert flagged[0].span.statement == guard_index + 1
-        assert flagged[0].span.reference == "kernel"
-
-    def test_mutated_ownership_guard_is_kern004(self):
-        context = gemm_context()
-        source = compile_accounting(context.node).source
-        assert expected_ownership(context.node) == {"wrapped"}
-        # Turn a wrapped congruence guard into a blocked interval check:
-        # the distributions say wrapped, so 'blocked' observed is an error.
-        marker = next(
-            m for m in ("% _P == _p", "% _P != _p") if m in source
-        )
-        mutated = source.replace(marker, "<= _hib_fake", 1)
-        assert mutated != source
-        findings = sanitize_generated_source(
-            mutated, artifact="kernel", program="gemm", expected={"wrapped"}
-        )
-        flagged = [d for d in findings if d.code == "KERN004"]
-        assert flagged, [d.format() for d in findings]
-        assert flagged[0].severity == Severity.ERROR
-        assert "blocked" in flagged[0].message
-        assert flagged[0].span.statement is not None
+        assert flagged[0].span.reference == "form:account"
 
     def test_synthetic_kernel_catches_all_three_warnings(self):
         findings = sanitize_generated_source(
@@ -547,21 +582,11 @@ class TestInjectedKernelDefects:
 
         monkeypatch.setattr(kernels, "sanitize_generated_source", recording)
         findings = KernelPass().run(context)
-        forms = [(a, src) for a, src in seen if a.startswith("form:")]
-        assert forms == [("form:account", engine._fused().source)]
+        assert seen == [("form:account", engine._fused().source)]
         flagged = [
             d for d in findings if d.span.reference == "form:account"
         ]
         assert [d.code for d in flagged] == ["KERN001"]
-
-    def test_unexpected_wrapped_guard_without_wrapped_arrays(self):
-        findings = sanitize_generated_source(
-            SYNTHETIC_KERNEL, artifact="kernel", program="synth",
-            expected=set(),
-        )
-        flagged = [d for d in findings if d.code == "KERN004"]
-        assert flagged and flagged[0].span.statement == 7
-        assert "wrapped" in flagged[0].message
 
 
 # ----------------------------------------------------------------------

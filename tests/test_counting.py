@@ -208,7 +208,7 @@ def test_unknown_engine_is_rejected():
 
 def test_forced_tiers_reject_execute_mode():
     node = gemm_variants(8)["gemmT"]
-    for engine in ("closed-form", "compiled"):
+    for engine in ("symbolic", "closed-form"):
         with pytest.raises(SimulationError, match="only supports account mode"):
             simulate(
                 node, processors=2, mode="execute", arrays={}, engine=engine
@@ -219,9 +219,9 @@ def test_closed_form_rejects_block_cache():
     node = gemm_variants(8)["gemmB"]
     with pytest.raises(SimulationError, match="does not model the block cache"):
         simulate(node, processors=2, block_cache=True, engine="closed-form")
-    # auto still works: the compiled kernel models the cache.
+    # auto still works: the walk models the cache.
     outcome = simulate(node, processors=2, block_cache=True)
-    assert outcome.engine in ("compiled", "walk")
+    assert outcome.engine == "walk"
 
 
 # ----------------------------------------------------------------------

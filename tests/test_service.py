@@ -119,6 +119,14 @@ class TestEndpoints:
             client.simulate({"processors": 2})
         assert excinfo.value.status == 422
 
+    def test_compiled_engine_is_unknown(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate(
+                {"source": GEMM_SOURCE, "processors": 2, "engine": "compiled"}
+            )
+        assert excinfo.value.status == 422
+        assert "unknown engine 'compiled'" in str(excinfo.value)
+
     def test_unknown_op_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._roundtrip("POST", "/v1/transmogrify", {})

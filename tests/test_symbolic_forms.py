@@ -489,7 +489,7 @@ class TestResidueClassSpecialization:
 
     Three implementations of the same counts must agree bit-for-bit:
     the fused evaluator with residue-class loop plans ("split"), the
-    per-form interpreter (`evaluate`, "unsplit"), and the tier-3 walk.
+    per-form interpreter (`evaluate`, "unsplit"), and the walk.
     """
 
     def test_split_unsplit_walk_agree_on_banded_grid(self):

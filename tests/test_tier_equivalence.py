@@ -3,7 +3,7 @@
 Parametrized over every sample program under ``examples/programs/`` and
 every regression-corpus entry under ``tests/corpus/`` at P in {1, 2, 3, 4}:
 whatever tier ``auto`` picks, and any forced tier that accepts the nest,
-must reproduce the interpreter walk (tier 3) exactly — per processor, on
+must reproduce the interpreter walk exactly — per processor, on
 every :class:`~repro.numa.AccessCounts` field.  A forced tier is allowed
 to *reject* a nest (that is what ``auto`` falls back for) but never to
 disagree.
@@ -17,8 +17,8 @@ import pytest
 
 from repro.codegen import generate_spmd
 from repro.core import access_normalize
-from repro.errors import SimulationError
-from repro.fuzz import ProgramSpec
+from repro.errors import DistributionError, SimulationError
+from repro.fuzz import ProgramSpec, generate_spec
 from repro.lang import parse_program
 from repro.numa import simulate
 
@@ -30,7 +30,7 @@ CORPUS = sorted(
 
 PROCS = (1, 2, 3, 4)
 
-#: Small parameter overrides keeping the tier-3 walk fast in CI.
+#: Small parameter overrides keeping the walk fast in CI.
 EXAMPLE_PARAMS = {
     "gemm": {"N": 24},
     "syr2k": {"N": 40, "b": 6},
@@ -43,7 +43,7 @@ def _assert_tiers_match(node, processors, params=None):
         node, processors=processors, params=params, engine="walk"
     )
     assert walk.engine == "walk"
-    for engine in ("auto", "symbolic", "closed-form", "compiled"):
+    for engine in ("auto", "symbolic", "closed-form"):
         try:
             outcome = simulate(
                 node, processors=processors, params=params, engine=engine
@@ -101,6 +101,26 @@ def test_corpus_tier_equivalence(path, processors, schedule):
         sync_events=result.outer_carried_count,
     )
     _assert_tiers_match(node, processors)
+
+
+@pytest.mark.parametrize(
+    "seed, params", [(73, {"M": 32, "N": 24}), (124, {"N": 24})],
+)
+def test_auto_raises_where_the_walk_raises(seed, params):
+    """Out of the program's domain (a subscript past its extent) ``auto``
+    must raise the walk's error, not answer from a faster tier."""
+    result = access_normalize(generate_spec(seed).build())
+    node = generate_spmd(
+        result.transformed,
+        schedule="wrapped",
+        sync_events=result.outer_carried_count,
+    )
+    errors = []
+    for engine in ("walk", "auto"):
+        with pytest.raises(DistributionError) as excinfo:
+            simulate(node, processors=4, params=params, engine=engine)
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]
 
 
 def test_paper_kernels_are_tier1_end_to_end():
